@@ -2,7 +2,8 @@
 
 All numeric output goes to files (CSV for arrays, JSON sidecars for
 metadata); stdout carries a one-line human summary.  Exit codes: 0 success,
-2 invalid configuration, 3 solver non-convergence, 4 internal error.
+1 failed check or scan, 2 invalid configuration, 3 solver non-convergence,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .slab import SlabConfig, fixed_point, slab_bounds_check
 from .spectral import principal_eigenpair, assemble_potential, slab_drift, slow_regime_certificate
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INTERNAL = 4
@@ -40,14 +42,14 @@ def _out_path(name: str, out: str | None) -> Path:
     return path
 
 
-def write_profile(u: Field, v: Field, vx: Field, path: Path, meta: dict) -> None:
-    """CSV (x,u,v,v_x at 17 significant digits) plus a JSON metadata sidecar."""
-    if u.grid != v.grid or u.grid != vx.grid:
-        raise ValueError("profile fields must share a grid")
+def _write_columns(columns: dict, path: Path, meta: dict) -> None:
+    """CSV of equal-length columns at 17 significant digits plus a JSON
+    metadata sidecar that records the package versions."""
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write("x,u,v,v_x\n")
-        for xi, ui, vi, gi in zip(u.grid.x, u.values, v.values, vx.values):
-            fh.write("%.17g,%.17g,%.17g,%.17g\n" % (xi, ui, vi, gi))
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(row_format % row)
     sidecar = dict(meta)
     sidecar["versions"] = {
         "chemofront": __version__,
@@ -56,6 +58,13 @@ def write_profile(u: Field, v: Field, vx: Field, path: Path, meta: dict) -> None
     with open(str(path) + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, default=str)
         fh.write("\n")
+
+
+def write_profile(u: Field, v: Field, vx: Field, path: Path, meta: dict) -> None:
+    """Profile CSV (x,u,v,v_x) plus its JSON metadata sidecar."""
+    if u.grid != v.grid or u.grid != vx.grid:
+        raise ValueError("profile fields must share a grid")
+    _write_columns({"x": u.grid.x, "u": u.values, "v": v.values, "v_x": vx.values}, path, meta)
 
 
 def read_profile(path: str) -> tuple[Field, Field, Field]:
@@ -133,8 +142,13 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_check.add_argument("--out")
 
     if defaults:
+        sub_parsers = (p_evolve, p_slab, p_eigen, p_scan, p_check)
+        known = {action.dest for p in (parser, *sub_parsers) for action in p._actions}
+        unknown = sorted(set(defaults) - known)
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         parser.set_defaults(**defaults)
-        for sub_parser in (p_evolve, p_slab, p_eigen, p_scan, p_check):
+        for sub_parser in sub_parsers:
             sub_parser.set_defaults(**defaults)
     return parser
 
@@ -219,26 +233,20 @@ def _cmd_eigen(args) -> int:
         return EXIT_NO_CONVERGENCE
     v, vx = slab_drift(sol)
     pot = assemble_potential(sol.u, args.ctest, v, vx)
-    pair = principal_eigenpair(pot, validate=False)
+    pair = principal_eigenpair(pot)
     path = _out_path("eigen.csv", args.out)
-    with open(path, "w", newline="") as fh:
-        fh.write("x,V,phi\n")
-        for xi, Vi, pi in zip(pot.grid.x, pot.values, pair.phi.values):
-            fh.write("%.17g,%.17g,%.17g\n" % (xi, Vi, pi))
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(
-            {
-                "command": "eigen",
-                "config": vars(args),
-                "lambda": pair.lam,
-                "rayleigh_residual": pair.rayleigh_residual,
-                "c_test": args.ctest,
-                "c_slab": sol.c,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_columns(
+        {"x": pot.grid.x, "V": pot.values, "phi": pair.phi.values},
+        path,
+        {
+            "command": "eigen",
+            "config": vars(args),
+            "lambda": pair.lam,
+            "rayleigh_residual": pair.rayleigh_residual,
+            "c_test": args.ctest,
+            "c_slab": sol.c,
+        },
+    )
     print(f"eigen: lambda = {pair.lam:.6e} -> {path}")
     return EXIT_OK
 
@@ -260,7 +268,12 @@ def _cmd_scan(args) -> int:
     write_scan_csv(records, path)
     table = sandwich_table(records)
     n_ok = sum(1 for row in table if row["passed"])
+    n_skipped = sum(1 for r in records if r.classification == "skipped")
     print(f"scan: {len(records)} cells -> {path} (sandwich ok: {n_ok}/{len(table)})")
+    if n_skipped or n_ok < len(table):
+        n_outside = len(table) - n_ok
+        print(f"scan: {n_skipped} skipped, {n_outside} outside the sandwich", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
@@ -290,7 +303,7 @@ def _cmd_check(args) -> int:
         fh.write("\n")
     ok = kernel_report.all_passed and mono.all_passed
     print(f"check: {'ok' if ok else 'FAILED'} -> {path}")
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 _DISPATCH = {
@@ -309,11 +322,11 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     if args.config:
         try:
             with open(args.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
+                parser = _build_parser(json.load(fh))
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            print(f"cannot use config: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        args = _build_parser(defaults).parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolver import level_crossing
 from .grids import Field
 from .kernels import ChemoParams, KernelSpec, kbar_inverse
 from .reports import BoundsReport
@@ -174,13 +175,10 @@ class FrontGeometry:
 
 
 def _rightmost_crossing(u: Field, level: float) -> float:
-    vals = u.values
-    above = np.nonzero(vals >= level)[0]
-    if above.size == 0 or above[-1] == u.grid.n - 1:
+    x = level_crossing(u, level)
+    if x is None or u.values[-1] >= level:
         raise ValueError(f"level {level} not attained in the interior")
-    i = above[-1]
-    frac = (vals[i] - level) / (vals[i] - vals[i + 1])
-    return float(u.grid.x[i] + frac * u.grid.dx)
+    return x
 
 
 def front_geometry(u: Field, theta: float, sigma: float, R: float) -> FrontGeometry:

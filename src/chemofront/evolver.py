@@ -136,6 +136,7 @@ def evolve(config: EvolveConfig) -> Trajectory:
     """
     grid, dt = config.grid, config.dt
     u = config.initial_field()
+    u = u.with_values(u.values.copy())  # the caller's initial field is left as given
     u.values[0] = u.left_ext
     u.values[-1] = u.right_ext
     solver = _diffusion_solver(grid, dt)

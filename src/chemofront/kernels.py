@@ -56,17 +56,13 @@ def _stretched_cutoff(alpha: float) -> float:
     The pointwise bound |K(x)| = TAIL_EPS underestimates the cutoff because
     the tail integral carries an algebraic prefactor, so solve on Kbar.
     """
-    spec = object.__new__(KernelSpec)
-    object.__setattr__(spec, "family", "stretched")
-    object.__setattr__(spec, "shape", alpha)
-    object.__setattr__(spec, "tail_cutoff", np.inf)
     lo = (_d_alpha(alpha) * np.log(0.5 / TAIL_EPS)) ** (1.0 / alpha)
-    if _kbar_stretched(spec, lo) <= TAIL_EPS:
+    if _kbar_stretched(alpha, lo) <= TAIL_EPS:
         return float(lo)
     hi = lo
-    while _kbar_stretched(spec, hi) > TAIL_EPS:
+    while _kbar_stretched(alpha, hi) > TAIL_EPS:
         hi *= 1.5
-    return float(brentq(lambda x: _kbar_stretched(spec, x) - TAIL_EPS, lo, hi, rtol=1e-12))
+    return float(brentq(lambda x: _kbar_stretched(alpha, x) - TAIL_EPS, lo, hi, rtol=1e-12))
 
 
 @dataclass(frozen=True)
@@ -182,18 +178,17 @@ def kbar(spec: KernelSpec, x):
         k = spec.shape
         out = 0.5 * (1.0 + x / (k - 1.0)) ** (1.0 - k)
     else:
-        out = _kbar_stretched(spec, x)
+        out = _kbar_stretched(spec.shape, x)
     return out if np.ndim(out) else float(out)
 
 
-def _kbar_stretched(spec: KernelSpec, x):
+def _kbar_stretched(alpha: float, x):
     """Closed form via the upper incomplete gamma function.
 
     With u = s^alpha / D the tail integral becomes
     (1/2) (D^{1/alpha}/alpha) Gamma(1/alpha) Q(1/alpha, x^alpha/D),
     which evaluates to 1/2 at x = 0 by the normalization of D.
     """
-    alpha = spec.shape
     d = _d_alpha(alpha)
     x = np.asarray(x, dtype=float)
     prefactor = 0.5 * d ** (1.0 / alpha) * gamma_fn(1.0 / alpha) / alpha

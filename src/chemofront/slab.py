@@ -8,10 +8,10 @@ the pair (c, u) solves
 where u~ is the profile extended by 1 on the left and 0 on the right.  The
 speed-and-profile map S_tau(c, u) = (c + theta - max_{x>=0} u, u_bar), with
 u_bar the solution of the frozen-coefficient linear problem, has the wave as
-its fixed point; its Picard iteration is violently unstable on fine grids, so
-the fixed point is computed instead by a bordered Newton method on (u, c)
-jointly, with the normalization as the extra equation and homotopy
-continuation in tau from 0 (pure FKPP slab) to the target.
+its fixed point.  That fixed point is computed by one Newton method on (u, c)
+jointly, with the normalization as the extra equation and the nonlocal drift
+in the Jacobian, and with homotopy continuation in tau from 0 (pure FKPP
+slab) to the target.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .convolve import advection
+from .evolver import sup_bound
 from .grids import Field, Grid1D
 from .kernels import ChemoParams, KernelSpec
 from .reports import BoundsReport
@@ -41,7 +43,6 @@ class SlabConfig:
     theta: float = 0.005
     tau: float = 1.0
     dx: float = 0.05
-    damping: float = 0.5
     tol: float = 1e-10
     max_iter: int = 40
 
@@ -50,8 +51,6 @@ class SlabConfig:
             raise ValueError("slab half-length a must be at least 20")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         bound = theta_max(self.params)
         if not 0.0 < self.theta < bound:
             raise ValueError(f"theta must lie in (0, {bound:g}) for these parameters")
@@ -99,6 +98,25 @@ def _frozen_advection(u_vals: np.ndarray, config: SlabConfig, tau: float) -> np.
     return advection(field, config.spec, config.params).values
 
 
+def _bands(c: float, tv: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-, main and super-diagonal of u_xx + c u_x - (tv u)_x with identity
+    rows at both ends (centered differences)."""
+    lower = 1.0 / dx**2 - c / (2.0 * dx) + tv[:-1] / (2.0 * dx)
+    main = np.full(tv.size, -2.0 / dx**2)
+    upper = 1.0 / dx**2 + c / (2.0 * dx) - tv[1:] / (2.0 * dx)
+    lower[-1] = upper[0] = 0.0
+    main[0] = main[-1] = 1.0
+    return lower, main, upper
+
+
+def _tridiagonal_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
+    """Factor a tridiagonal matrix once (LAPACK gttrf); returns its solve."""
+    *factors, info = dgttrf(lower, main, upper)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular slab system")
+    return lambda rhs: dgttrs(*factors, rhs)[0]
+
+
 def solve_linear_bvp(c: float, u_prev: Field, config: SlabConfig) -> Field:
     """One linear slab solve with frozen advection v = chi K_sigma * u_prev.
 
@@ -109,22 +127,12 @@ def solve_linear_bvp(c: float, u_prev: Field, config: SlabConfig) -> Field:
     if (u_prev.left_ext, u_prev.right_ext) != (1.0, 0.0):
         raise ValueError("u_prev must carry extensions (1, 0)")
     grid = config.grid
-    n, dx = grid.n, grid.dx
     tv = config.tau * _frozen_advection(u_prev.values, config, config.tau)
-
     # rows: u_xx + c u_x - tau (v u)_x = -f, Dirichlet rows at both ends
-    lower = np.zeros(n)
-    main = np.zeros(n)
-    upper = np.zeros(n)
-    main[1:-1] = -2.0 / dx**2
-    upper[2:] = 1.0 / dx**2 + c / (2.0 * dx) - tv[2:] / (2.0 * dx)
-    lower[:-2] = 1.0 / dx**2 - c / (2.0 * dx) + tv[:-2] / (2.0 * dx)
-    main[0] = main[-1] = 1.0
-
     rhs = -u_prev.values * (1.0 - u_prev.values)
     rhs[0] = 1.0
     rhs[-1] = 0.0
-    sol = solve_banded((1, 1), np.vstack([upper, main, lower]), rhs)
+    sol = _tridiagonal_solver(*_bands(c, tv, grid.dx))(rhs)
     if not np.all(np.isfinite(sol)):
         raise np.linalg.LinAlgError("singular or ill-conditioned slab system")
     sol[0], sol[-1] = 1.0, 0.0  # pivoting can smear the identity boundary rows
@@ -153,75 +161,70 @@ def _bvp_residual(u: np.ndarray, c: float, v: np.ndarray, tau: float, config: Sl
     return F
 
 
-def _bordered_newton(
-    u: np.ndarray, c: float, v: np.ndarray, tau: float, config: SlabConfig, pin: int
+def _newton(
+    u: np.ndarray, c: float, tau: float, config: SlabConfig
 ) -> tuple[np.ndarray, float, float, int, bool]:
-    """Newton on the slab equations augmented with u[pin] = theta.
+    """Newton on the slab equations augmented with u[pin] = theta, at one tau.
 
-    The bordered (arrow) system is solved with two banded solves per step;
-    pinning the profile value removes the near-singular translation mode that
-    defeats plain iteration on u alone.
+    The normalization is pinned at the running argmax of the right half;
+    pinning a profile value removes the near-singular translation mode that
+    defeats plain iteration on u alone.  The Jacobian carries the nonlocal
+    term -tau (u dv)_x with dv = chi K_sigma * du.  Its step is found by
+    GMRES, right-preconditioned by the frozen-drift tridiagonal-plus-border
+    matrix (Jacobian-free Newton-Krylov); without coupling that bordered
+    solve is the whole step.
     """
-    n, dx = config.grid.n, config.dx
+    grid = config.grid
+    n, dx = grid.n, grid.dx
+    i0 = grid.index_of(0.0)
+    coupled = tau != 0.0 and config.params.chi != 0.0
+    v = _frozen_advection(u, config, tau)
     for it in range(1, config.max_iter + 1):
+        pin = i0 + int(np.argmax(u[i0:]))
         F = _bvp_residual(u, c, v, tau, config, pin)
         nrm = float(np.max(np.abs(F)))
         if nrm < config.tol:
             return u, c, nrm, it, True
-        lower = np.zeros(n)
-        main = np.zeros(n)
-        upper = np.zeros(n)
-        main[1:-1] = -2.0 / dx**2 + 1.0 - 2.0 * u[1:-1]
-        upper[2:] = 1.0 / dx**2 + c / (2.0 * dx) - tau * v[2:] / (2.0 * dx)
-        lower[:-2] = 1.0 / dx**2 - c / (2.0 * dx) + tau * v[:-2] / (2.0 * dx)
-        main[0] = main[-1] = 1.0
-        ab = np.vstack([upper, main, lower])
+        lower, main, upper = _bands(c, tau * v, dx)
+        main[1:-1] += 1.0 - 2.0 * u[1:-1]
+        solve = _tridiagonal_solver(lower, main, upper)
         dFdc = np.zeros(n)
         dFdc[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-        r1 = solve_banded((1, 1), ab, -F[:-1])
-        r2 = solve_banded((1, 1), ab, -dFdc)
+        r2 = solve(dFdc)
         if r2[pin] == 0.0:
             break
-        dc = (-(u[pin] - config.theta) - r1[pin]) / r2[pin]
-        du = r1 + dc * r2
+
+        def bordered_solve(r: np.ndarray) -> np.ndarray:
+            r1 = solve(r[:-1])
+            dc = (r1[pin] - r[-1]) / r2[pin]
+            return np.append(r1 - dc * r2, dc)
+
+        if coupled:
+
+            def preconditioned_jacobian(y: np.ndarray) -> np.ndarray:
+                du = bordered_solve(y)[:-1]
+                dv = advection(Field(grid, du), config.spec, config.params).values
+                out = y.copy()
+                out[1:-2] -= tau * (u[2:] * dv[2:] - u[:-2] * dv[:-2]) / (2.0 * dx)
+                return out
+
+            op = LinearOperator((n + 1, n + 1), matvec=preconditioned_jacobian, dtype=float)
+            # an inexact step: the line search and the next Newton step absorb it
+            y, _ = gmres(op, -F, rtol=1e-4, restart=40, maxiter=5)
+            step_vec = bordered_solve(y)
+        else:
+            step_vec = bordered_solve(-F)
+        du, dc = step_vec[:-1], step_vec[-1]
         step = 1.0
-        while step > 1e-8:
-            trial = np.max(np.abs(_bvp_residual(u + step * du, c + step * dc, v, tau, config, pin)))
-            if trial < nrm:
+        while True:
+            u_trial, c_trial = u + step * du, c + step * dc
+            v_trial = _frozen_advection(u_trial, config, tau)
+            trial = np.max(np.abs(_bvp_residual(u_trial, c_trial, v_trial, tau, config, pin)))
+            if trial < nrm or step <= 1e-8:
                 break
             step *= 0.5
-        u = u + step * du
-        c = c + step * dc
+        u, c, v = u_trial, c_trial, v_trial
     return u, c, float(np.max(np.abs(_bvp_residual(u, c, v, tau, config, pin)))), it, False
-
-
-def _solve_at_tau(
-    u: np.ndarray, c: float, tau: float, config: SlabConfig
-) -> tuple[np.ndarray, float, float, int, bool]:
-    """Self-consistent (u, c, v) at one homotopy value.
-
-    Outer relaxed Picard on the nonlocal drift v, inner bordered Newton with v
-    frozen.  The normalization is re-pinned at the running argmax of the right
-    half in case the profile is not monotone there.
-    """
-    grid = config.grid
-    i0 = grid.index_of(0.0)
-    pin = i0 + int(np.argmax(u[i0:]))
-    v = _frozen_advection(u, config, tau)
-    iters = 0
-    for _ in range(60):
-        u_new, c_new, res, it, ok = _bordered_newton(u, c, v, tau, config, pin)
-        iters += it
-        if not ok:
-            return u_new, c_new, res, iters, False
-        v_new = _frozen_advection(u_new, config, tau)
-        drift = float(np.max(np.abs(v_new - v)))
-        u, c = u_new, c_new
-        v = v + config.damping * (v_new - v)
-        pin = i0 + int(np.argmax(u[i0:]))
-        if drift < config.tol:
-            return u, c, res, iters, True
-    return u, c, res, iters, False
 
 
 def fixed_point(config: SlabConfig, seed: SlabSolution | None = None) -> SlabSolution:
@@ -242,7 +245,7 @@ def fixed_point(config: SlabConfig, seed: SlabSolution | None = None) -> SlabSol
     total_iters = 0
     residual, ok, tau = np.inf, False, 0.0
     for tau in taus:
-        u, c, residual, iters, ok = _solve_at_tau(u, c, tau, config)
+        u, c, residual, iters, ok = _newton(u, c, tau, config)
         total_iters += iters
         path.append((tau, c))
         if not ok:
@@ -288,12 +291,11 @@ def continue_in_a(config: SlabConfig, a_list: list[float]) -> list[SlabSolution]
 
 def slab_bounds_check(sol: SlabSolution, tol: float = 1e-6) -> BoundsReport:
     """Shape checks on a converged slab profile."""
-    params = sol.config.params
     u = sol.u
     grid = u.grid
     report = BoundsReport()
 
-    bound = max(1.0, 1.0 / (1.0 - params.chi / params.sigma))
+    bound = sup_bound(sol.config.params)
     report.add("sup-bound", "profile-upper-bound", float(np.max(u.values)), bound, slack=tol)
 
     i0 = grid.index_of(0.0)

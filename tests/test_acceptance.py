@@ -167,14 +167,16 @@ def test_criterion_07_eigensolver_oracles():
         vals = rng.uniform(-1.0, 1.0, grid.n)
         vals[-1] = vals[0]
         pot = Potential(grid=grid, values=vals, provenance={}, epsilon=0.0)
-        lam = principal_eigenpair(pot, validate=False).lam
+        lam = principal_eigenpair(pot).lam
         worst = max(worst, abs(lam - dense_principal_eigenvalue(pot)))
 
     const_grid = Grid1D.from_spacing(-10.0, 10.0, 0.05)
     const = Potential(
         grid=const_grid, values=np.full(const_grid.n, -0.3), provenance={}, epsilon=0.0
     )
-    const_err = abs(principal_eigenpair(const).lam - 0.3)
+    const_lam = principal_eigenpair(const).lam
+    const_err = abs(const_lam - 0.3)
+    worst = max(worst, abs(const_lam - dense_principal_eigenvalue(const)))
 
     tent_grid = Grid1D(-1.0, 1.0, 8193)
     psi = tent_test_function(tent_grid, a=1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chemofront.cli import (
+    EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -200,3 +201,32 @@ def test_bad_config_file_exits_two(tmp_path):
     bad.write_text("{not json")
     assert run(["--config", str(bad), "slab"]) == EXIT_CONFIG
     assert run(["--config", str(tmp_path / "missing.json"), "slab"]) == EXIT_CONFIG
+
+
+def test_check_failure_exits_one(out_dir, capsys):
+    grid = Grid1D.from_spacing(-20.0, 20.0, 0.1)
+    params = ChemoParams(-0.05, 1.0)
+    spec = KernelSpec("exp")
+    vals = 1.0 / (1.0 + np.exp(grid.x))
+    vals[grid.index_of(10.0)] += 0.01  # a bump in the tail, where u must be monotone
+    u = Field(grid, vals, left_ext=1.0, right_ext=0.0)
+    write_profile(u, advection(u, spec, params), advection_gradient(u, spec, params),
+                  out_dir / "bumpy.csv", {"command": "test"})
+    code = run(["check", "--input", str(out_dir / "bumpy.csv"), "--chi", "-0.05", "--sigma", "1"])
+    assert code == EXIT_CHECK_FAILED
+    assert "FAILED" in capsys.readouterr().out
+
+
+def test_scan_with_skipped_cell_exits_one(out_dir):
+    # chi = 0.6 violates the standing assumption, so the cell is skipped
+    code = run(["scan", "--chis", "0.6", "--sigmas", "1", "--out", "scan.csv"])
+    assert code == EXIT_CHECK_FAILED
+    row = (out_dir / "scan.csv").read_text().splitlines()[1].split(",")
+    assert row[10] == "skipped"
+
+
+def test_unknown_config_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chi": -0.05, "damping": 0.5}))
+    assert run(["--config", str(cfg), "slab"]) == EXIT_CONFIG
+    assert "damping" in capsys.readouterr().err

@@ -177,3 +177,17 @@ def test_snapshot_cadence():
     cfg = make_config(grid, dt=0.0025, t_max=1.0, snapshot_every=0.25)
     traj = evolve(cfg)
     assert np.allclose(traj.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_evolve_leaves_initial_field_untouched():
+    grid = Grid1D.from_spacing(-10.0, 10.0, 0.1)
+    initial = smoothed_step_field(grid)  # boundary values differ from the extensions
+    before = initial.values.copy()
+    cfg = make_config(grid, initial=initial, params=ChemoParams(-0.05, 1.0), t_max=0.5)
+    first = evolve(cfg)
+    second = evolve(cfg)
+    assert np.array_equal(initial.values, before)
+    assert first.times().tolist() == second.times().tolist()
+    for (_, a), (_, b) in zip(first.snapshots, second.snapshots):
+        assert np.array_equal(a.values, b.values)
+    assert first.front_positions == second.front_positions

@@ -72,8 +72,10 @@ def test_assemble_potential_two_forms_agree_on_slab(slab_attractive):
 def test_constant_potential_eigenvalue_is_exact():
     # -phi'' - V phi with V = -0.3: ground state is constant, lambda = 0.3
     grid = Grid1D.from_spacing(-10.0, 10.0, 0.05)
-    pair = principal_eigenpair(constant_potential(grid, -0.3))
+    pot = constant_potential(grid, -0.3)
+    pair = principal_eigenpair(pot)
     assert pair.lam == pytest.approx(0.3, abs=1e-12)
+    assert pair.lam == pytest.approx(dense_principal_eigenvalue(pot), abs=1e-8)
     assert np.max(np.abs(pair.phi.values - 1.0)) < 1e-8
     assert pair.rayleigh_residual < 1e-12
 
@@ -85,7 +87,7 @@ def test_matches_dense_oracle_on_random_potentials():
         vals = rng.uniform(-1.0, 1.0, grid.n)
         vals[-1] = vals[0]
         pot = Potential(grid=grid, values=vals, provenance={}, epsilon=0.0)
-        pair = principal_eigenpair(pot, validate=False)
+        pair = principal_eigenpair(pot)
         lam_dense = dense_principal_eigenvalue(pot)
         assert pair.lam == pytest.approx(lam_dense, abs=1e-9)
 
@@ -98,8 +100,8 @@ def test_shift_covariance():
     vals[-1] = vals[0]
     base = Potential(grid=grid, values=vals, provenance={}, epsilon=0.0)
     shifted = Potential(grid=grid, values=vals + 0.7, provenance={}, epsilon=0.0)
-    lam0 = principal_eigenpair(base, validate=False).lam
-    lam1 = principal_eigenpair(shifted, validate=False).lam
+    lam0 = principal_eigenpair(base).lam
+    lam1 = principal_eigenpair(shifted).lam
     assert lam1 == pytest.approx(lam0 - 0.7, abs=1e-9)
 
 
@@ -128,6 +130,7 @@ def test_variational_principle():
     vals[-1] = vals[0]
     pot = Potential(grid=grid, values=vals, provenance={}, epsilon=0.0)
     lam = principal_eigenpair(pot).lam
+    assert lam == pytest.approx(dense_principal_eigenvalue(pot), abs=1e-8)
     L = grid.x_max - grid.x_min
     for _ in range(100):
         coeffs = rng.standard_normal(7)
@@ -162,7 +165,9 @@ def test_tent_rayleigh_quotient_upper_bound():
     psi = tent_test_function(grid, a=1.0)
     rq = rayleigh_quotient(psi, pot)
     assert rq == pytest.approx(48.0 + 0.3, rel=1e-3)
-    assert rq >= principal_eigenpair(constant_potential(grid, -0.3)).lam
+    lam = principal_eigenpair(pot).lam
+    assert lam == pytest.approx(dense_principal_eigenvalue(pot), abs=1e-8)
+    assert rq >= lam
 
 
 def test_transform_to_w(slab_neutral):
@@ -211,6 +216,6 @@ def test_eigenvalue_grid_convergence_is_second_order():
         grid = Grid1D(-10.0, 10.0, n)
         vals = -0.3 - 0.1 * np.cos(np.pi * grid.x / 10.0)
         pot = Potential(grid=grid, values=vals, provenance={}, epsilon=0.0)
-        lams.append(principal_eigenpair(pot, validate=False).lam)
+        lams.append(principal_eigenpair(pot).lam)
     ratio = (lams[0] - lams[1]) / (lams[1] - lams[2])
     assert 3.5 < ratio < 4.5
