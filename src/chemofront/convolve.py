@@ -13,7 +13,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .grids import Field
 from .kernels import ChemoParams, KernelSpec, kbar, kernel_scaled
@@ -74,7 +74,9 @@ def _convolve(padded: np.ndarray, weights: np.ndarray, method: str) -> np.ndarra
     if method == "auto":
         method = "fft" if padded.size >= FFT_THRESHOLD else "direct"
     if method == "fft":
-        return fftconvolve(padded, weights, mode="valid")
+        size = next_fast_len(padded.size + weights.size - 1, real=True)
+        full = irfft(rfft(padded, size) * rfft(weights, size), size)
+        return full[weights.size - 1 : padded.size]  # the 'valid' part
     if method == "direct":
         return np.convolve(padded, weights, mode="valid")
     raise ValueError(f"unknown convolution method: {method!r}")

@@ -113,7 +113,7 @@ def _tridiagonal_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
     """Factor a tridiagonal matrix once (LAPACK gttrf); returns its solve."""
     *factors, info = dgttrf(lower, main, upper)
     if info != 0:
-        raise np.linalg.LinAlgError("singular slab system")
+        raise np.linalg.LinAlgError("singular tridiagonal system")
     return lambda rhs: dgttrs(*factors, rhs)[0]
 
 

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh
-from scipy.sparse import csc_matrix, diags, identity
-from scipy.sparse.linalg import splu
 
 from .convolve import advection, advection_gradient
 from .grids import Field, Grid1D
-from .slab import SlabSolution
+from .slab import SlabSolution, _tridiagonal_solver
 
 CERTIFICATE_GATE = 0.1  # largest |chi|(1/sigma + sigma^2) the certificate covers
 CERTIFICATE_SPEEDS = (2.0, 2.01, 2.05)
@@ -83,29 +81,31 @@ def assemble_potential(u: Field, c: float, v: Field, vx: Field) -> Potential:
     )
 
 
-def _periodic_matrix(V: Potential) -> csc_matrix:
-    """-D2 - diag(V) on the m = n-1 periodic nodes (right endpoint dropped)."""
-    m = V.grid.n - 1
-    dx = V.grid.dx
-    main = 2.0 / dx**2 - V.values[:m]
-    off = np.full(m - 1, -1.0 / dx**2)
-    mat = diags([off, main, off], [-1, 0, 1], format="lil")
-    mat[0, m - 1] = -1.0 / dx**2
-    mat[m - 1, 0] = -1.0 / dx**2
-    return csc_matrix(mat)
+def _periodic_solver(main: np.ndarray, off: float):
+    """Solve with the cyclic tridiagonal M (diagonal `main`, off-diagonals and corners
+    `off`): M = T + gamma w w^T with w = e_0 + (off/gamma) e_{m-1} leaves T tridiagonal,
+    so by Sherman-Morrison one LAPACK factorization of T serves every solve."""
+    gamma = -main[0]
+    w = np.zeros(main.size)
+    w[0], w[-1] = 1.0, off / gamma
+    offdiag = np.full(main.size - 1, off)
+    solve = _tridiagonal_solver(offdiag, main - gamma * w * w, offdiag)
+    z = solve(gamma * w)
+    z /= 1.0 + w @ z
+
+    def periodic_solve(rhs: np.ndarray) -> np.ndarray:
+        y = solve(rhs)
+        return y - (w @ y) * z
+
+    return periodic_solve
 
 
 def dense_principal_eigenvalue(V: Potential) -> float:
     """Smallest eigenvalue by a dense symmetric solve (the tests' oracle)."""
-    A = _periodic_matrix(V).toarray()
+    dx, m = V.grid.dx, V.grid.n - 1
+    ring = np.roll(np.eye(m), 1, axis=1)  # superdiagonal plus the periodic corner
+    A = np.diag(2.0 / dx**2 - V.values[:m]) - (ring + ring.T) / dx**2
     return float(eigh(A, eigvals_only=True, subset_by_index=(0, 0))[0])
-
-
-def _close_periodic(grid: Grid1D, vec: np.ndarray) -> Field:
-    vals = np.empty(grid.n)
-    vals[:-1] = vec
-    vals[-1] = vec[0]
-    return Field(grid, vals)
 
 
 def principal_eigenpair(V: Potential) -> EigenPair:
@@ -115,9 +115,8 @@ def principal_eigenpair(V: Potential) -> EigenPair:
     is pulled toward the running Rayleigh quotient once the iterate settles,
     which restores fast convergence when the spectral gap is small.
     """
-    A = _periodic_matrix(V)
-    m = A.shape[0]
     dx = V.grid.dx
+    main, off = 2.0 / dx**2 - V.values[:-1], -1.0 / dx**2  # -D2 - V, periodic nodes
     shift = float(np.min(-V.values)) - 1.0
     # the achievable residual scales with the matrix norm (~4/dx^2)
     anorm = 4.0 / dx**2 + float(np.max(np.abs(V.values)))
@@ -127,24 +126,22 @@ def principal_eigenpair(V: Potential) -> EigenPair:
         # y' A y for unit y via the difference form, which is exact on
         # near-constant eigenvectors where A @ y suffers cancellation
         grad = (np.roll(y, -1) - y) / dx
-        return float(grad @ grad - (V.values[:m] * y) @ y)
+        return float(grad @ grad - (V.values[:-1] * y) @ y)
 
-    lu = splu(A - shift * identity(m, format="csc"))
-    x = np.ones(m)
-    x /= np.linalg.norm(x)
-    lam = quad_form(x)
+    solve = _periodic_solver(main - shift, off)
+    x = np.full(main.size, 1.0 / np.sqrt(main.size))
     for _ in range(500):
-        y = lu.solve(x)
+        y = solve(x)
         y /= np.linalg.norm(y)
         lam = quad_form(y)
-        res = float(np.linalg.norm(A @ y - lam * y))
+        res = float(np.linalg.norm(main * y + off * (np.roll(y, 1) + np.roll(y, -1)) - lam * y))
         x = y
         if res < stop:
             break
         # once roughly converged, chase the eigenvalue with the shift
         if res < 1e-2 and abs(lam - shift) > 10.0 * res:
             shift = lam - max(res, 1e-8)
-            lu = splu(A - shift * identity(m, format="csc"))
+            solve = _periodic_solver(main - shift, off)
     else:
         raise RuntimeError(f"inverse iteration stagnated (residual {res:.3e})")
 
@@ -152,7 +149,7 @@ def principal_eigenpair(V: Potential) -> EigenPair:
         x = -x
     if np.min(x) <= 0.0:
         raise RuntimeError("principal eigenvector changed sign")
-    phi = _close_periodic(V.grid, x / x[0])
+    phi = Field(V.grid, np.append(x, x[0]) / x[0])
     rq = rayleigh_quotient(phi, V)
     return EigenPair(lam=lam, phi=phi, rayleigh_residual=abs(rq - lam))
 

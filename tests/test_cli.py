@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chemofront
 from chemofront.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -230,3 +235,12 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg.write_text(json.dumps({"chi": -0.05, "damping": 0.5}))
     assert run(["--config", str(cfg), "slab"]) == EXIT_CONFIG
     assert "damping" in capsys.readouterr().err
+
+
+def test_cli_import_skips_scipy_signal():
+    # scipy.signal alone used to take about half of the CLI's start-up time
+    src = str(Path(chemofront.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, chemofront.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

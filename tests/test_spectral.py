@@ -5,11 +5,14 @@ from chemofront.grids import Field, Grid1D, constant_field
 from chemofront.kernels import ChemoParams, KernelSpec
 from chemofront.slab import SlabConfig, fixed_point
 from chemofront.spectral import (
+    CERTIFICATE_SPEEDS,
     Potential,
+    _periodic_solver,
     assemble_potential,
     dense_principal_eigenvalue,
     principal_eigenpair,
     rayleigh_quotient,
+    slab_drift,
     slow_regime_certificate,
     tent_test_function,
     transform_to_w,
@@ -27,8 +30,16 @@ def slab_neutral():
 
 
 @pytest.fixture(scope="module")
-def slab_attractive():
+def slab_repulsive():
     config = SlabConfig(a=60.0, params=ChemoParams(-0.02, 1.0), spec=EXP)
+    sol = fixed_point(config)
+    assert sol.converged
+    return sol
+
+
+@pytest.fixture(scope="module")
+def slab_attractive():
+    config = SlabConfig(a=60.0, params=ChemoParams(0.02, 1.0), spec=EXP)
     sol = fixed_point(config)
     assert sol.converged
     return sol
@@ -61,11 +72,9 @@ def test_assemble_potential_rejects_slow_speeds():
         assemble_potential(zero, 1.5, zero, zero)
 
 
-def test_assemble_potential_two_forms_agree_on_slab(slab_attractive):
-    from chemofront.spectral import slab_drift
-
-    v, vx = slab_drift(slab_attractive)
-    pot = assemble_potential(slab_attractive.u, slab_attractive.c, v, vx)
+def test_assemble_potential_two_forms_agree_on_slab(slab_repulsive):
+    v, vx = slab_drift(slab_repulsive)
+    pot = assemble_potential(slab_repulsive.u, slab_repulsive.c, v, vx)
     assert np.all(np.isfinite(pot.values))
 
 
@@ -78,6 +87,33 @@ def test_constant_potential_eigenvalue_is_exact():
     assert pair.lam == pytest.approx(dense_principal_eigenvalue(pot), abs=1e-8)
     assert np.max(np.abs(pair.phi.values - 1.0)) < 1e-8
     assert pair.rayleigh_residual < 1e-12
+
+
+def test_periodic_solver_matches_dense_solve():
+    rng = np.random.default_rng(11)
+    for m in (3, 8, 257):
+        off = rng.uniform(-2.0, -0.5)
+        main = 2.0 * abs(off) + rng.uniform(0.1, 3.0, m)
+        A = np.diag(main) + off * (
+            np.eye(m, k=1) + np.eye(m, k=-1) + np.eye(m, k=m - 1) + np.eye(m, k=1 - m)
+        )
+        rhs = rng.standard_normal(m)
+        x = _periodic_solver(main, off)(rhs)
+        assert np.linalg.norm(A @ x - rhs) / np.linalg.norm(rhs) < 1e-12
+        x_dense = np.linalg.solve(A, rhs)
+        assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-12
+
+
+@pytest.mark.parametrize("wave", ["slab_repulsive", "slab_attractive"])
+def test_matches_dense_oracle_on_certificate_potentials(wave, request):
+    sol = request.getfixturevalue(wave)
+    v, vx = slab_drift(sol)
+    for c_test in CERTIFICATE_SPEEDS:
+        pot = assemble_potential(sol.u, c_test, v, vx)
+        pair = principal_eigenpair(pot)
+        assert pair.lam == pytest.approx(dense_principal_eigenvalue(pot), abs=1e-10)
+        assert np.min(pair.phi.values) > 0.0
+        assert pair.rayleigh_residual < 1e-12
 
 
 def test_matches_dense_oracle_on_random_potentials():
@@ -180,8 +216,8 @@ def test_transform_to_w(slab_neutral):
     assert np.all(prof.w.values >= 0.0)
 
 
-def test_certificate_passes_in_slow_regime(slab_attractive):
-    report = slow_regime_certificate(slab_attractive)
+def test_certificate_passes_in_slow_regime(slab_repulsive):
+    report = slow_regime_certificate(slab_repulsive)
     assert report.applicable
     assert report.passed, report.to_dict()
     assert len(report.entries) == 3
