@@ -40,6 +40,7 @@ class EvolveConfig:
     track_level: float = 0.5
     front_margin: float | None = None  # default: min(2 sigma, 20% of domain)
     method: str = "auto"
+    keep_snapshots: bool = True  # False: keep only the latest profile
 
     def __post_init__(self):
         if self.t_max <= 0:
@@ -148,6 +149,8 @@ def evolve(config: EvolveConfig) -> Trajectory:
     traj = Trajectory(snapshots=[], front_positions=[], config=config)
 
     def record(t: float) -> bool:
+        if not config.keep_snapshots:
+            traj.snapshots.clear()
         traj.snapshots.append((t, u.with_values(u.values.copy())))
         pos = level_crossing(u, config.track_level)
         if pos is not None:
@@ -194,15 +197,20 @@ def measure_speed(
     """Least-squares front speed from level-crossing positions vs time.
 
     The fit uses the last ``window_fraction`` of the trajectory, where the
-    transient from the initial datum has decayed.
+    transient from the initial datum has decayed.  At the tracked level the
+    positions ``evolve`` recorded at every snapshot are used, so a trajectory
+    run with ``keep_snapshots=False`` can be measured there.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    pts = []
-    for t, snap in traj.snapshots:
-        pos = level_crossing(snap, level)
-        if pos is not None:
-            pts.append((t, pos))
+    if traj.config is not None and level == traj.config.track_level:
+        pts = traj.front_positions
+    else:
+        pts = []
+        for t, snap in traj.snapshots:
+            pos = level_crossing(snap, level)
+            if pos is not None:
+                pts.append((t, pos))
     if not pts:
         raise ValueError(f"level {level} never attained")
     times = np.array([p[0] for p in pts])

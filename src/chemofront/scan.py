@@ -126,6 +126,7 @@ def _evolve_speed(params: ChemoParams, config: ScanConfig) -> float:
         snapshot_every=max(10.0 * dt, t_max / 200.0),
         params=params,
         spec=config.spec,
+        keep_snapshots=False,  # the fit needs the front positions only
     )
     traj = evolve(cfg)
     return measure_speed(traj, 0.5, 0.4).c

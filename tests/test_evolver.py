@@ -191,3 +191,19 @@ def test_evolve_leaves_initial_field_untouched():
     for (_, a), (_, b) in zip(first.snapshots, second.snapshots):
         assert np.array_equal(a.values, b.values)
     assert first.front_positions == second.front_positions
+
+
+def test_keep_snapshots_false_keeps_the_speed_fit():
+    grid = Grid1D.from_spacing(-20.0, 60.0, 0.2)
+    cfg = make_config(grid, params=ChemoParams(-0.05, 1.0), dt=0.01, t_max=10.0)
+    full = evolve(cfg)
+    light = evolve(make_config(grid, params=ChemoParams(-0.05, 1.0), dt=0.01, t_max=10.0,
+                               keep_snapshots=False))
+    assert [t for t, _ in light.snapshots] == [10.0]
+    assert np.array_equal(light.final().values, full.final().values)
+    assert light.front_positions == full.front_positions
+    # at the tracked level the recorded positions equal the snapshots' crossings
+    from_snapshots = measure_speed(Trajectory(snapshots=full.snapshots, front_positions=[]))
+    assert measure_speed(light, 0.5, 0.5) == measure_speed(full, 0.5, 0.5) == from_snapshots
+    with pytest.raises(ValueError):
+        measure_speed(light, 0.4)  # other levels need every snapshot
