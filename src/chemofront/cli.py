@@ -11,15 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .convolve import advection, advection_gradient
 from .diagnostics import decay_fit, monotonicity_check, moment_check
-from .evolver import EvolveConfig, evolve, measure_speed, speed_from_integral
+from .evolver import BlowUpError, EvolveConfig, evolve, measure_speed, speed_from_integral
 from .grids import Field, Grid1D
 from .kernels import ChemoParams, parse_kernel, validate_kernel
 from .scan import ScanConfig, run_scan, sandwich_table, write_scan_csv
@@ -44,7 +46,7 @@ def _out_path(name: str, out: str | None) -> Path:
 
 def _write_columns(columns: dict, path: Path, meta: dict) -> None:
     """CSV of equal-length columns at 17 significant digits plus a JSON
-    metadata sidecar that records the package versions."""
+    metadata sidecar that records the package and Python versions."""
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
@@ -54,6 +56,8 @@ def _write_columns(columns: dict, path: Path, meta: dict) -> None:
     sidecar["versions"] = {
         "chemofront": __version__,
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": platform.python_version(),
     }
     with open(str(path) + ".meta.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, default=str)
@@ -329,6 +333,10 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
+    # LinAlgError subclasses ValueError, so it is caught first
+    except (np.linalg.LinAlgError, BlowUpError) as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

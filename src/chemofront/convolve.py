@@ -4,7 +4,8 @@ The convolution uses exact per-cell integrals of K_sigma (differences of the
 antiderivative Kbar) against nodal samples of the extended profile, so the jump
 of K at the origin is never sampled and constants are annihilated to rounding.
 Contributions from the constant extensions beyond the truncation window are
-added in closed form through Kbar.
+added in closed form through Kbar.  Everything that depends only on the kernel
+and the grid is built once per (kernel, sigma, dx, n) in a cached DriftOperator.
 """
 
 from __future__ import annotations
@@ -70,28 +71,75 @@ def _cell_masses(spec: KernelSpec, sigma: float, dx: float, half_width: int) -> 
     return m
 
 
-def _convolve(padded: np.ndarray, weights: np.ndarray, method: str) -> np.ndarray:
-    if method == "auto":
-        method = "fft" if padded.size >= FFT_THRESHOLD else "direct"
-    if method == "fft":
-        size = next_fast_len(padded.size + weights.size - 1, real=True)
-        full = irfft(rfft(padded, size) * rfft(weights, size), size)
-        return full[weights.size - 1 : padded.size]  # the 'valid' part
-    if method == "direct":
-        return np.convolve(padded, weights, mode="valid")
-    raise ValueError(f"unknown convolution method: {method!r}")
+class DriftOperator:
+    """Convolution against K_sigma and dK_sigma on one grid, built once.
+
+    Holds the window, the cell weights and symmetric masses with their rFFTs,
+    and the closed-form tail constants.  The FFT length only has to cover the
+    padded profile: with size >= padded.size >= kernel.size, the 'valid'
+    outputs kernel.size-1 .. padded.size-1 of the circular convolution never
+    wrap, so each call is one rfft and one irfft.
+    """
+
+    def __init__(self, spec: KernelSpec, sigma: float, dx: float, n: int):
+        _check_resolution(dx, sigma)
+        self.sigma = sigma
+        self.half = _window(spec, sigma, dx, n)
+        self.weights = _cell_weights(spec, sigma, dx, self.half)
+        masses = _cell_masses(spec, sigma, dx, self.half)
+        self.mass0 = masses[0]
+        self.sym = np.concatenate([masses[:0:-1], masses])  # m_{|j|}, j = -J..J
+        self.padded_size = n + 2 * self.half
+        self.size = next_fast_len(self.padded_size, real=True)
+        self.weights_hat = rfft(self.weights, self.size)
+        self.sym_hat = rfft(self.sym, self.size)
+        self.kb_tail = float(kbar(spec, (self.half + 0.5) * dx / sigma))
+        self.m_tail = -float(kernel_scaled(spec, sigma, (self.half + 0.5) * dx))
+        for table in (self.sym, self.weights_hat, self.sym_hat):
+            table.setflags(write=False)  # shared by every caller of the cache
+
+    def _convolve(
+        self, u: Field, kernel: np.ndarray, kernel_hat: np.ndarray, method: str
+    ) -> np.ndarray:
+        # the extended profile, zero-filled up to the FFT length
+        half, n = self.half, u.values.size
+        padded = np.zeros(self.size)
+        padded[:half] = u.left_ext
+        padded[half : half + n] = u.values
+        padded[half + n : self.padded_size] = u.right_ext
+        if method == "auto":
+            method = "fft" if self.padded_size >= FFT_THRESHOLD else "direct"
+        if method == "fft":
+            spectrum = rfft(padded, overwrite_x=True)
+            spectrum *= kernel_hat
+            full = irfft(spectrum, self.size, overwrite_x=True)
+            return full[kernel.size - 1 : self.padded_size]  # the 'valid' part
+        if method == "direct":
+            return np.convolve(padded[: self.padded_size], kernel, mode="valid")
+        raise ValueError(f"unknown convolution method: {method!r}")
+
+    def advection(self, u: Field, chi: float, method: str = "auto") -> np.ndarray:
+        """Nodal values of v = chi * (K_sigma convolved with the extended profile)."""
+        interior = self._convolve(u, self.weights, self.weights_hat, method)
+        return chi * (interior + (u.right_ext - u.left_ext) * self.kb_tail)
+
+    def gradient(self, u: Field, chi: float, method: str = "auto") -> np.ndarray:
+        """Nodal values of v_x (see :func:`advection_gradient`)."""
+        folded = self._convolve(u, self.sym, self.sym_hat, method) + self.mass0 * u.values
+        folded += self.m_tail * (u.left_ext + u.right_ext)
+        return -(chi / self.sigma) * u.values + chi * folded
+
+
+@lru_cache(maxsize=64)
+def drift_operator(spec: KernelSpec, sigma: float, dx: float, n: int) -> DriftOperator:
+    """The convolution operator of one (kernel, sigma) on one grid, shared by every call."""
+    return DriftOperator(spec, sigma, dx, n)
 
 
 def advection(u: Field, spec: KernelSpec, params: ChemoParams, method: str = "auto") -> Field:
     """v = chi * (K_sigma convolved with the extended profile), sampled on u's grid."""
-    grid = u.grid
-    _check_resolution(grid.dx, params.sigma)
-    half = _window(spec, params.sigma, grid.dx, grid.n)
-    weights = _cell_weights(spec, params.sigma, grid.dx, half)
-    interior = _convolve(u.extended(half), weights, method)
-    kb_tail = float(kbar(spec, (half + 0.5) * grid.dx / params.sigma))
-    values = params.chi * (interior + (u.right_ext - u.left_ext) * kb_tail)
-    return Field(grid, values, left_ext=0.0, right_ext=0.0)
+    op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
+    return Field(u.grid, op.advection(u, params.chi, method), left_ext=0.0, right_ext=0.0)
 
 
 def advection_gradient(
@@ -102,16 +150,8 @@ def advection_gradient(
     v_x(x) = -(chi/sigma) u(x)
              + chi * int_0^inf (u_ext(x-y) + u_ext(x+y)) dK_sigma(y).
     """
-    grid = u.grid
-    _check_resolution(grid.dx, params.sigma)
-    half = _window(spec, params.sigma, grid.dx, grid.n)
-    masses = _cell_masses(spec, params.sigma, grid.dx, half)
-    sym = np.concatenate([masses[:0:-1], masses])  # m_{|j|}, j = -J..J
-    folded = _convolve(u.extended(half), sym, method) + masses[0] * u.values
-    m_tail = -float(kernel_scaled(spec, params.sigma, (half + 0.5) * grid.dx))
-    folded += m_tail * (u.left_ext + u.right_ext)
-    values = -(params.chi / params.sigma) * u.values + params.chi * folded
-    return Field(grid, values, left_ext=0.0, right_ext=0.0)
+    op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
+    return Field(u.grid, op.gradient(u, params.chi, method), left_ext=0.0, right_ext=0.0)
 
 
 def advection_bounds_check(

@@ -1,7 +1,8 @@
 """IMEX time stepper for u_t + (vu)_x = u_xx + u(1-u) with v = chi K_sigma * u.
 
-Diffusion is treated implicitly (second-order centered, prefactored tridiagonal
-solve), the logistic reaction and the upwinded advective flux explicitly.
+Diffusion is treated implicitly (second-order centered, tridiagonal matrix
+factored once by LAPACK), the logistic reaction and the upwinded advective
+flux explicitly; the drift comes from one convolution operator built per run.
 Boundary nodes are held at the Dirichlet values given by the field extensions,
 which also feed the nonlocal convolution.
 """
@@ -11,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
-from .convolve import advection
-from .grids import Field, Grid1D, smoothed_step_field
+from .convolve import advection, drift_operator  # noqa: F401 - perfbench/spans.py binds evolver.advection
+from .grids import Field, Grid1D, smoothed_step_field, tridiagonal_solver
 from .kernels import ChemoParams, KernelSpec
 
 
@@ -104,26 +103,25 @@ def level_crossing(u: Field, level: float) -> float | None:
 
 
 def _diffusion_solver(grid: Grid1D, dt: float):
-    """Prefactored (I - dt D2) with identity rows at the Dirichlet boundaries."""
+    """Solve with (I - dt D2), identity rows at the Dirichlet boundaries,
+    factored once."""
     n, dx = grid.n, grid.dx
     main = np.full(n, 1.0 + 2.0 * dt / dx**2)
-    off = np.full(n - 1, -dt / dx**2)
+    lower = np.full(n - 1, -dt / dx**2)
+    upper = lower.copy()
     main[0] = main[-1] = 1.0
-    off_lo = off.copy()
-    off_hi = off.copy()
-    off_lo[-1] = 0.0  # row n-1
-    off_hi[0] = 0.0  # row 0
-    mat = diags([off_lo, main, off_hi], [-1, 0, 1], format="csc")
-    return splu(mat)
+    lower[-1] = 0.0  # row n-1
+    upper[0] = 0.0  # row 0
+    return tridiagonal_solver(lower, main, upper)
 
 
-def _advective_divergence(u: Field, v: np.ndarray, dx: float) -> np.ndarray:
+def _advective_divergence(u: np.ndarray, v: np.ndarray, dx: float) -> np.ndarray:
     """d(vu)/dx at interior nodes by first-order upwinding at cell faces."""
     # face velocities between consecutive nodes
     v_face = 0.5 * (v[:-1] + v[1:])
-    upwind = np.where(v_face >= 0.0, u.values[:-1], u.values[1:])
+    upwind = np.where(v_face >= 0.0, u[:-1], u[1:])
     flux = v_face * upwind
-    div = np.zeros_like(u.values)
+    div = np.zeros_like(u)
     div[1:-1] = (flux[1:] - flux[:-1]) / dx
     return div
 
@@ -140,11 +138,13 @@ def evolve(config: EvolveConfig) -> Trajectory:
     u = u.with_values(u.values.copy())  # the caller's initial field is left as given
     u.values[0] = u.left_ext
     u.values[-1] = u.right_ext
-    solver = _diffusion_solver(grid, dt)
+    solve = _diffusion_solver(grid, dt)
     bound = sup_bound(config.params)
     n_steps = int(round(config.t_max / dt))
     snap_stride = max(1, int(round(config.snapshot_every / dt)))
-    chi_zero = config.params.chi == 0.0
+    chi = config.params.chi
+    if chi != 0.0:
+        drift = drift_operator(config.spec, config.params.sigma, grid.dx, grid.n)
 
     traj = Trajectory(snapshots=[], front_positions=[], config=config)
 
@@ -167,15 +167,15 @@ def evolve(config: EvolveConfig) -> Trajectory:
         return traj
 
     for step in range(1, n_steps + 1):
-        if chi_zero:
+        if chi == 0.0:
             adv = 0.0
         else:
-            v = advection(u, config.spec, config.params, method=config.method).values
-            adv = _advective_divergence(u, v, grid.dx)
+            v = drift.advection(u, chi, config.method)
+            adv = _advective_divergence(u.values, v, grid.dx)
         rhs = u.values + dt * (u.values * (1.0 - u.values) - adv)
         rhs[0] = u.left_ext
         rhs[-1] = u.right_ext
-        new = solver.solve(rhs)
+        new = solve(rhs)
         negative = new < 0.0
         if np.any(negative):
             traj.clipped_mass += float(-new[negative].sum()) * grid.dx

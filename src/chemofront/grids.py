@@ -1,10 +1,12 @@
-"""Uniform 1-D grids and sampled fields with constant extensions."""
+"""Uniform 1-D grids, sampled fields with constant extensions, and the
+tridiagonal (three-point stencil) solve the grid solvers share."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,14 @@ class Grid1D:
         return Grid1D(x_min, x_min + (n - 1) * dx, n)
 
 
+def tridiagonal_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
+    """Factor a tridiagonal matrix once (LAPACK gttrf); returns its solve."""
+    *factors, info = dgttrf(lower, main, upper)
+    if info != 0:
+        raise np.linalg.LinAlgError("singular tridiagonal system")
+    return lambda rhs: dgttrs(*factors, rhs)[0]
+
+
 @dataclass
 class Field:
     """Samples on a uniform grid plus constant left/right extension values."""
@@ -57,16 +67,6 @@ class Field:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-
-    def extended(self, pad: int) -> np.ndarray:
-        """Values padded by `pad` extension samples on each side."""
-        return np.concatenate(
-            [
-                np.full(pad, self.left_ext),
-                self.values,
-                np.full(pad, self.right_ext),
-            ]
-        )
 
     def with_values(self, values: np.ndarray) -> "Field":
         return replace(self, values=np.asarray(values, dtype=float))

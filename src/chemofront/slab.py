@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .convolve import advection
 from .evolver import sup_bound
-from .grids import Field, Grid1D
+from .grids import Field, Grid1D, tridiagonal_solver
 from .kernels import ChemoParams, KernelSpec
 from .reports import BoundsReport
 
@@ -109,14 +108,6 @@ def _bands(c: float, tv: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray,
     return lower, main, upper
 
 
-def _tridiagonal_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
-    """Factor a tridiagonal matrix once (LAPACK gttrf); returns its solve."""
-    *factors, info = dgttrf(lower, main, upper)
-    if info != 0:
-        raise np.linalg.LinAlgError("singular tridiagonal system")
-    return lambda rhs: dgttrs(*factors, rhs)[0]
-
-
 def solve_linear_bvp(c: float, u_prev: Field, config: SlabConfig) -> Field:
     """One linear slab solve with frozen advection v = chi K_sigma * u_prev.
 
@@ -132,7 +123,7 @@ def solve_linear_bvp(c: float, u_prev: Field, config: SlabConfig) -> Field:
     rhs = -u_prev.values * (1.0 - u_prev.values)
     rhs[0] = 1.0
     rhs[-1] = 0.0
-    sol = _tridiagonal_solver(*_bands(c, tv, grid.dx))(rhs)
+    sol = tridiagonal_solver(*_bands(c, tv, grid.dx))(rhs)
     if not np.all(np.isfinite(sol)):
         raise np.linalg.LinAlgError("singular or ill-conditioned slab system")
     sol[0], sol[-1] = 1.0, 0.0  # pivoting can smear the identity boundary rows
@@ -187,7 +178,7 @@ def _newton(
             return u, c, nrm, it, True
         lower, main, upper = _bands(c, tau * v, dx)
         main[1:-1] += 1.0 - 2.0 * u[1:-1]
-        solve = _tridiagonal_solver(lower, main, upper)
+        solve = tridiagonal_solver(lower, main, upper)
         dFdc = np.zeros(n)
         dFdc[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
         r2 = solve(dFdc)

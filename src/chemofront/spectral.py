@@ -19,8 +19,8 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh
 
 from .convolve import advection, advection_gradient
-from .grids import Field, Grid1D
-from .slab import SlabSolution, _tridiagonal_solver
+from .grids import Field, Grid1D, tridiagonal_solver
+from .slab import SlabSolution
 
 CERTIFICATE_GATE = 0.1  # largest |chi|(1/sigma + sigma^2) the certificate covers
 CERTIFICATE_SPEEDS = (2.0, 2.01, 2.05)
@@ -89,7 +89,7 @@ def _periodic_solver(main: np.ndarray, off: float):
     w = np.zeros(main.size)
     w[0], w[-1] = 1.0, off / gamma
     offdiag = np.full(main.size - 1, off)
-    solve = _tridiagonal_solver(offdiag, main - gamma * w * w, offdiag)
+    solve = tridiagonal_solver(offdiag, main - gamma * w * w, offdiag)
     z = solve(gamma * w)
     z /= 1.0 + w @ z
 
@@ -98,6 +98,13 @@ def _periodic_solver(main: np.ndarray, off: float):
         return y - (w @ y) * z
 
     return periodic_solve
+
+
+def _periodic_difference(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out_i = y_{i+1} - y_i with periodic wrap (slices, no np.roll copies)."""
+    np.subtract(y[1:], y[:-1], out=out[:-1])
+    out[-1] = y[0] - y[-1]
+    return out
 
 
 def dense_principal_eigenvalue(V: Potential) -> float:
@@ -122,10 +129,13 @@ def principal_eigenpair(V: Potential) -> EigenPair:
     anorm = 4.0 / dx**2 + float(np.max(np.abs(V.values)))
     stop = max(1e-11, 50.0 * np.finfo(float).eps * anorm)
 
+    difference, neighbours = np.empty(main.size), np.empty(main.size)
+
     def quad_form(y: np.ndarray) -> float:
         # y' A y for unit y via the difference form, which is exact on
         # near-constant eigenvectors where A @ y suffers cancellation
-        grad = (np.roll(y, -1) - y) / dx
+        grad = _periodic_difference(y, difference)
+        grad /= dx
         return float(grad @ grad - (V.values[:-1] * y) @ y)
 
     solve = _periodic_solver(main - shift, off)
@@ -134,7 +144,10 @@ def principal_eigenpair(V: Potential) -> EigenPair:
         y = solve(x)
         y /= np.linalg.norm(y)
         lam = quad_form(y)
-        res = float(np.linalg.norm(main * y + off * (np.roll(y, 1) + np.roll(y, -1)) - lam * y))
+        # y_{i-1} + y_{i+1} with periodic wrap
+        np.add(y[:-2], y[2:], out=neighbours[1:-1])
+        neighbours[0], neighbours[-1] = y[-1] + y[1], y[-2] + y[0]
+        res = float(np.linalg.norm(main * y + off * neighbours - lam * y))
         x = y
         if res < stop:
             break
@@ -169,7 +182,7 @@ def rayleigh_quotient(psi: Field, V: Potential) -> float:
     mass = float(np.sum(vals**2)) * dx
     if mass < 1e-14:
         raise ValueError("test function is numerically zero")
-    grad = (np.roll(vals, -1) - vals) / dx
+    grad = _periodic_difference(vals, np.empty(vals.size)) / dx
     kinetic = float(np.sum(grad**2)) * dx
     potential = float(np.sum(V.values[:-1] * vals**2)) * dx
     return (kinetic - potential) / mass

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import chemofront
+from chemofront import evolver, grids
 from chemofront.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -47,7 +49,8 @@ def test_profile_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(vx.values, vx2.values)
     meta = json.loads((tmp_path / "profile.csv.meta.json").read_text())
     assert meta["command"] == "test"
-    assert "chemofront" in meta["versions"]
+    assert set(meta["versions"]) == {"chemofront", "numpy", "scipy", "python"}
+    assert meta["versions"]["python"] == platform.python_version()
 
 
 def test_slab_command_end_to_end(out_dir):
@@ -95,6 +98,21 @@ def test_evolve_command_end_to_end(out_dir):
     assert code == EXIT_OK
     meta = json.loads((out_dir / "run.csv.meta.json").read_text())
     assert 1.5 < meta["c"] < 2.1
+
+
+def test_singular_tridiagonal_system_exits_three(monkeypatch, capsys):
+    # np.linalg.LinAlgError subclasses ValueError, which alone would read as exit 2
+    dgttrf = grids.dgttrf
+    monkeypatch.setattr(grids, "dgttrf", lambda *bands: (*dgttrf(*bands)[:-1], 1))
+    assert run(["slab", "--chi", "-0.05", "--a", "40"]) == EXIT_NO_CONVERGENCE
+    assert "singular tridiagonal system" in capsys.readouterr().err
+
+
+def test_evolve_blow_up_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(evolver, "_diffusion_solver", lambda grid, dt: lambda rhs: 1e3 * rhs)
+    argv = ["evolve", "--xmin", "-20", "--xmax", "100", "--dx", "0.2", "--dt", "0.01", "--tmax", "1"]
+    assert run(argv) == EXIT_NO_CONVERGENCE
+    assert "exceeds 10x the a-priori bound" in capsys.readouterr().err
 
 
 def test_evolve_margin_abort_exits_three(out_dir):

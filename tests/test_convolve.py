@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from chemofront.convolve import (
+    FFT_THRESHOLD,
     KernelResolutionError,
     advection,
     advection_bounds_check,
     advection_gradient,
+    drift_operator,
 )
 from chemofront.grids import Field, Grid1D, constant_field, step_field
 from chemofront.kernels import ChemoParams, KernelSpec, kbar
@@ -31,14 +33,30 @@ def test_step_profile_matches_closed_form():
 
 def test_fft_and_direct_agree():
     rng = np.random.default_rng(7)
-    grid = Grid1D(-10.0, 10.0, 512)
-    params = ChemoParams(-0.5, 1.3)
-    for _ in range(5):
-        u = random_field(grid, rng)
-        v_f = advection(u, EXP, params, method="fft").values
-        v_d = advection(u, EXP, params, method="direct").values
-        scale = np.max(np.abs(v_d)) + 1.0
-        assert np.max(np.abs(v_f - v_d)) / scale < 1e-10
+    cases = [
+        # (grid, spec, params, expected padded size)
+        (Grid1D(-10.0, 10.0, 512), EXP, ChemoParams(-0.5, 1.3), None),
+        # window capped at n-1: the kernel covers the whole grid
+        (Grid1D(-10.0, 10.0, 300), EXP, ChemoParams(-0.5, 5.0), 3 * 300 - 2),
+        (Grid1D(-10.0, 10.0, 87), EXP, ChemoParams(0.4, 5.0), FFT_THRESHOLD + 3),
+        # a window of about 1/7 of the grid
+        (Grid1D.from_spacing(-140.0, 140.0, 0.1), EXP, ChemoParams(-0.5, 1.268), 2801 + 2 * 400),
+        # padded sizes just above the FFT threshold
+        (Grid1D.from_spacing(-12.0, 11.9, 0.1), KernelSpec("tophat"), ChemoParams(-0.5, 0.8),
+         FFT_THRESHOLD),
+        (Grid1D.from_spacing(-12.0, 12.0, 0.1), KernelSpec("tophat"), ChemoParams(-0.5, 0.8),
+         FFT_THRESHOLD + 1),
+    ]
+    for grid, spec, params, padded_size in cases:
+        if padded_size is not None:
+            assert drift_operator(spec, params.sigma, grid.dx, grid.n).padded_size == padded_size
+        for _ in range(3):
+            u = random_field(grid, rng, exts=tuple(rng.standard_normal(2)))
+            for op in (advection, advection_gradient):
+                v_f = op(u, spec, params, method="fft").values
+                v_d = op(u, spec, params, method="direct").values
+                assert np.max(np.abs(v_f - v_d)) / np.max(np.abs(v_d)) < 1e-13, (grid, op)
+                assert np.array_equal(op(u, spec, params).values, v_f)
 
 
 def test_constants_are_annihilated():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from chemofront import convolve
 from chemofront.evolver import (
     EvolveConfig,
     Trajectory,
+    _diffusion_solver,
     evolve,
     level_crossing,
     measure_speed,
@@ -207,3 +209,46 @@ def test_keep_snapshots_false_keeps_the_speed_fit():
     assert measure_speed(light, 0.5, 0.5) == measure_speed(full, 0.5, 0.5) == from_snapshots
     with pytest.raises(ValueError):
         measure_speed(light, 0.4)  # other levels need every snapshot
+
+
+def test_diffusion_solve_matches_dense_solve():
+    grid = Grid1D.from_spacing(-5.0, 5.0, 0.1)
+    dt = grid.dx**2 / 4.0
+    r = dt / grid.dx**2
+    n = grid.n
+    mat = np.diag(np.full(n, 1.0 + 2.0 * r)) - r * (np.eye(n, k=1) + np.eye(n, k=-1))
+    mat[[0, -1]] = np.eye(n)[[0, -1]]  # Dirichlet identity rows
+    rhs = np.random.default_rng(5).standard_normal(n)
+    expected = np.linalg.solve(mat, rhs)
+    got = _diffusion_solver(grid, dt)(rhs)
+    assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) < 1e-13
+
+
+def test_coupled_evolve_builds_one_operator_and_one_transform_per_step(monkeypatch):
+    calls = {"rfft": [], "irfft": 0}
+    rfft, irfft = convolve.rfft, convolve.irfft
+
+    def counting_rfft(x, *args, **kwargs):
+        calls["rfft"].append(np.size(x))
+        return rfft(x, *args, **kwargs)
+
+    def counting_irfft(*args, **kwargs):
+        calls["irfft"] += 1
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(convolve, "rfft", counting_rfft)
+    monkeypatch.setattr(convolve, "irfft", counting_irfft)
+    grid = Grid1D.from_spacing(-20.0, 31.3, 0.1)  # a grid no other test uses
+    config = make_config(grid, params=ChemoParams(-0.05, 1.0), t_max=0.05, snapshot_every=0.01)
+    n_steps = round(config.t_max / config.dt)
+    misses = convolve.drift_operator.cache_info().misses
+    evolve(config)
+    assert convolve.drift_operator.cache_info().misses == misses + 1
+    size = convolve.drift_operator(EXP, 1.0, grid.dx, grid.n).size
+    assert calls["rfft"].count(size) == n_steps  # the profile, once per step
+    assert len(calls["rfft"]) == n_steps + 2  # the two kernel spectra, once per run
+    assert calls["irfft"] == n_steps
+    calls["rfft"].clear()
+    evolve(config)  # a second run reuses the operator
+    assert convolve.drift_operator.cache_info().misses == misses + 1
+    assert len(calls["rfft"]) == n_steps

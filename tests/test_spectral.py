@@ -7,6 +7,7 @@ from chemofront.slab import SlabConfig, fixed_point
 from chemofront.spectral import (
     CERTIFICATE_SPEEDS,
     Potential,
+    _periodic_difference,
     _periodic_solver,
     assemble_potential,
     dense_principal_eigenvalue,
@@ -146,6 +147,20 @@ def test_rayleigh_quotient_constant_mode():
     pot = constant_potential(grid, -0.3)
     psi = constant_field(grid, 2.0)
     assert rayleigh_quotient(psi, pot) == pytest.approx(0.3, abs=1e-14)
+
+
+def test_periodic_stencils_match_roll():
+    # the slice stencils do the arithmetic of the np.roll forms, so equal bitwise
+    rng = np.random.default_rng(13)
+    grid = Grid1D(-5.0, 5.0, 201)
+    vals = rng.standard_normal(grid.n)
+    vals[-1] = vals[0]
+    V = Potential(grid=grid, values=rng.standard_normal(grid.n), provenance={}, epsilon=0.0)
+    y, dx = vals[:-1], grid.dx
+    assert np.array_equal(_periodic_difference(y, np.empty(y.size)), np.roll(y, -1) - y)
+    grad = (np.roll(y, -1) - y) / dx
+    expected = (np.sum(grad**2) * dx - np.sum(V.values[:-1] * y**2) * dx) / (np.sum(y**2) * dx)
+    assert rayleigh_quotient(Field(grid, vals), V) == expected
 
 
 def test_rayleigh_quotient_rejects_bad_inputs():
