@@ -25,8 +25,8 @@ from .evolver import BlowUpError, EvolveConfig, evolve, measure_speed, speed_fro
 from .grids import Field, Grid1D
 from .kernels import ChemoParams, parse_kernel, validate_kernel
 from .scan import ScanConfig, run_scan, sandwich_table, write_scan_csv
-from .slab import SlabConfig, fixed_point, slab_bounds_check
-from .spectral import principal_eigenpair, assemble_potential, slab_drift, slow_regime_certificate
+from .slab import SlabConfig, fixed_point
+from .spectral import assemble_potential, principal_eigenpair, slab_drift
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -205,8 +205,7 @@ def _cmd_slab(args) -> int:
         a=args.a, params=params, spec=spec, theta=args.theta, tau=args.tau, dx=args.dx
     )
     sol = fixed_point(config)
-    v = advection(sol.u, spec, params)
-    vx = advection_gradient(sol.u, spec, params)
+    v, vx = slab_drift(sol)
     path = _out_path("slab.csv", args.out)
     write_profile(
         sol.u,

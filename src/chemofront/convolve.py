@@ -5,7 +5,9 @@ antiderivative Kbar) against nodal samples of the extended profile, so the jump
 of K at the origin is never sampled and constants are annihilated to rounding.
 Contributions from the constant extensions beyond the truncation window are
 added in closed form through Kbar.  Everything that depends only on the kernel
-and the grid is built once per (kernel, sigma, dx, n) in a cached DriftOperator.
+and the grid is built once per (kernel, sigma, dx, n) in a cached DriftOperator,
+which convolves by FFT; :func:`direct_drift` sums the same convolutions
+directly and serves the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ from scipy.fft import irfft, next_fast_len, rfft
 from .grids import Field
 from .kernels import ChemoParams, KernelSpec, kbar, kernel_scaled
 from .reports import BoundsReport
-
-#: grid sizes at or above this use the FFT path by default
-FFT_THRESHOLD = 256
-
 
 class KernelResolutionError(ValueError):
     """The grid is too coarse to resolve the jump of the rescaled kernel."""
@@ -98,36 +96,36 @@ class DriftOperator:
         for table in (self.sym, self.weights_hat, self.sym_hat):
             table.setflags(write=False)  # shared by every caller of the cache
 
-    def _convolve(
-        self, u: Field, kernel: np.ndarray, kernel_hat: np.ndarray, method: str
-    ) -> np.ndarray:
-        # the extended profile, zero-filled up to the FFT length
+    def _extended(self, u: Field) -> np.ndarray:
+        """The extended profile over the window, zero-filled up to the FFT length."""
         half, n = self.half, u.values.size
         padded = np.zeros(self.size)
         padded[:half] = u.left_ext
         padded[half : half + n] = u.values
         padded[half + n : self.padded_size] = u.right_ext
-        if method == "auto":
-            method = "fft" if self.padded_size >= FFT_THRESHOLD else "direct"
-        if method == "fft":
-            spectrum = rfft(padded, overwrite_x=True)
-            spectrum *= kernel_hat
-            full = irfft(spectrum, self.size, overwrite_x=True)
-            return full[kernel.size - 1 : self.padded_size]  # the 'valid' part
-        if method == "direct":
-            return np.convolve(padded[: self.padded_size], kernel, mode="valid")
-        raise ValueError(f"unknown convolution method: {method!r}")
+        return padded
 
-    def advection(self, u: Field, chi: float, method: str = "auto") -> np.ndarray:
-        """Nodal values of v = chi * (K_sigma convolved with the extended profile)."""
-        interior = self._convolve(u, self.weights, self.weights_hat, method)
+    def _convolve(self, u: Field, kernel_hat: np.ndarray) -> np.ndarray:
+        spectrum = rfft(self._extended(u), overwrite_x=True)
+        spectrum *= kernel_hat
+        full = irfft(spectrum, self.size, overwrite_x=True)
+        return full[2 * self.half : self.padded_size]  # the 'valid' part
+
+    def _advection_from(self, interior: np.ndarray, u: Field, chi: float) -> np.ndarray:
         return chi * (interior + (u.right_ext - u.left_ext) * self.kb_tail)
 
-    def gradient(self, u: Field, chi: float, method: str = "auto") -> np.ndarray:
-        """Nodal values of v_x (see :func:`advection_gradient`)."""
-        folded = self._convolve(u, self.sym, self.sym_hat, method) + self.mass0 * u.values
+    def _gradient_from(self, folded: np.ndarray, u: Field, chi: float) -> np.ndarray:
+        folded = folded + self.mass0 * u.values
         folded += self.m_tail * (u.left_ext + u.right_ext)
         return -(chi / self.sigma) * u.values + chi * folded
+
+    def advection(self, u: Field, chi: float) -> np.ndarray:
+        """Nodal values of v = chi * (K_sigma convolved with the extended profile)."""
+        return self._advection_from(self._convolve(u, self.weights_hat), u, chi)
+
+    def gradient(self, u: Field, chi: float) -> np.ndarray:
+        """Nodal values of v_x (see :func:`advection_gradient`)."""
+        return self._gradient_from(self._convolve(u, self.sym_hat), u, chi)
 
 
 @lru_cache(maxsize=64)
@@ -136,22 +134,30 @@ def drift_operator(spec: KernelSpec, sigma: float, dx: float, n: int) -> DriftOp
     return DriftOperator(spec, sigma, dx, n)
 
 
-def advection(u: Field, spec: KernelSpec, params: ChemoParams, method: str = "auto") -> Field:
+def advection(u: Field, spec: KernelSpec, params: ChemoParams) -> Field:
     """v = chi * (K_sigma convolved with the extended profile), sampled on u's grid."""
     op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
-    return Field(u.grid, op.advection(u, params.chi, method), left_ext=0.0, right_ext=0.0)
+    return Field(u.grid, op.advection(u, params.chi), left_ext=0.0, right_ext=0.0)
 
 
-def advection_gradient(
-    u: Field, spec: KernelSpec, params: ChemoParams, method: str = "auto"
-) -> Field:
+def advection_gradient(u: Field, spec: KernelSpec, params: ChemoParams) -> Field:
     """v_x via the jump atom -(chi/sigma) u plus the measure part of (K_sigma)_x.
 
     v_x(x) = -(chi/sigma) u(x)
              + chi * int_0^inf (u_ext(x-y) + u_ext(x+y)) dK_sigma(y).
     """
     op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
-    return Field(u.grid, op.gradient(u, params.chi, method), left_ext=0.0, right_ext=0.0)
+    return Field(u.grid, op.gradient(u, params.chi), left_ext=0.0, right_ext=0.0)
+
+
+def direct_drift(u: Field, spec: KernelSpec, params: ChemoParams) -> tuple[Field, Field]:
+    """v and v_x with both convolutions summed directly (np.convolve): the tests'
+    oracle for the FFT path, called by no solver."""
+    op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
+    ext = op._extended(u)[: op.padded_size]
+    v = op._advection_from(np.convolve(ext, op.weights, mode="valid"), u, params.chi)
+    vx = op._gradient_from(np.convolve(ext, op.sym, mode="valid"), u, params.chi)
+    return Field(u.grid, v), Field(u.grid, vx)
 
 
 def advection_bounds_check(

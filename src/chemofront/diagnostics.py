@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolver import level_crossing
-from .grids import Field
+from .grids import Field, periodic_difference
 from .kernels import ChemoParams, KernelSpec, kbar_inverse
 from .reports import BoundsReport
 
@@ -72,7 +72,7 @@ def poincare_ratio(
         raise ValueError("test function must be periodic")
     dx = f.grid.dx
     fv = f.values[:-1]
-    fx = (np.roll(fv, -1) - fv) / dx
+    fx = periodic_difference(fv, np.empty(fv.size)) / dx
     lhs1 = _integrate(dx, vx.values[:-1] * fv**2)
     lhs2 = _integrate(dx, np.abs(v.values[:-1]) * fv**2)
     core = (

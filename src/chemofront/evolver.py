@@ -37,8 +37,6 @@ class EvolveConfig:
     spec: KernelSpec
     initial: Field | None = None  # default: smoothed step of width 2
     track_level: float = 0.5
-    front_margin: float | None = None  # default: min(2 sigma, 20% of domain)
-    method: str = "auto"
     keep_snapshots: bool = True  # False: keep only the latest profile
 
     def __post_init__(self):
@@ -52,9 +50,12 @@ class EvolveConfig:
             raise ValueError("snapshot_every must be positive")
         if not 0.0 < self.track_level < 1.0:
             raise ValueError("track_level must lie in (0, 1)")
-        if self.front_margin is None:
-            length = self.grid.x_max - self.grid.x_min
-            self.front_margin = min(2.0 * self.params.sigma, 0.2 * length)
+
+    @property
+    def front_margin(self) -> float:
+        """Distance from the right boundary at which a run aborts:
+        min(2 sigma, 20% of the domain)."""
+        return min(2.0 * self.params.sigma, 0.2 * (self.grid.x_max - self.grid.x_min))
 
     def initial_field(self) -> Field:
         if self.initial is None:
@@ -170,7 +171,7 @@ def evolve(config: EvolveConfig) -> Trajectory:
         if chi == 0.0:
             adv = 0.0
         else:
-            v = drift.advection(u, chi, config.method)
+            v = drift.advection(u, chi)
             adv = _advective_divergence(u.values, v, grid.dx)
         rhs = u.values + dt * (u.values * (1.0 - u.values) - adv)
         rhs[0] = u.left_ext

@@ -1,9 +1,10 @@
 """Uniform 1-D grids, sampled fields with constant extensions, and the
-tridiagonal (three-point stencil) solve the grid solvers share."""
+tridiagonal (three-point stencil) solve and periodic difference the grid
+solvers share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -48,6 +49,13 @@ def tridiagonal_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
     if info != 0:
         raise np.linalg.LinAlgError("singular tridiagonal system")
     return lambda rhs: dgttrs(*factors, rhs)[0]
+
+
+def periodic_difference(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out_i = y_{i+1} - y_i with periodic wrap (slices, no np.roll copies)."""
+    np.subtract(y[1:], y[:-1], out=out[:-1])
+    out[-1] = y[0] - y[-1]
+    return out
 
 
 @dataclass

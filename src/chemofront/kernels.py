@@ -195,11 +195,6 @@ def _kbar_stretched(alpha: float, x):
     return prefactor * gammaincc(1.0 / alpha, x**alpha / d)
 
 
-def kbar_sigma(spec: KernelSpec, sigma: float, t):
-    """Antiderivative of the rescaled kernel: -integral_t^inf K_sigma = Kbar(t/sigma)."""
-    return kbar(spec, np.asarray(t, dtype=float) / sigma)
-
-
 def kbar_inverse(spec: KernelSpec, w: float) -> float:
     """The unique x >= 0 with Kbar(x) = w, for w in (0, 1/2]."""
     if not 0.0 < w <= 0.5:

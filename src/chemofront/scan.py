@@ -26,6 +26,7 @@ SLOW_PREDICATE_GATE = 0.15
 FAST_PREDICATE_GATE = 10.0
 SLOW_SPEED_WINDOW = (1.9, 2.1)
 FAST_SPEED_FACTOR = 0.75
+EVOLVE_T_MAX = 150.0  # longest time-dependent run of an evolve cell
 
 CSV_COLUMNS = (
     "chi",
@@ -53,7 +54,6 @@ class ScanConfig:
     slab_a: float = 60.0
     slab_dx: float = 0.05
     slab_theta: float = 0.005
-    evolve_t_max: float = 150.0
 
     def __post_init__(self):
         if self.mode not in ("slab", "evolve", "both"):
@@ -117,7 +117,7 @@ def _evolve_speed(params: ChemoParams, config: ScanConfig) -> float:
     v_scale = max(1.0, abs(params.chi) / 2.0)
     dt = min(dx**2 / 4.0, dx / v_scale)
     c_upper = 2.0 * np.sqrt(1.0 + abs(params.chi) / sigma) + abs(params.chi) / 2.0
-    t_max = min(config.evolve_t_max, 0.7 * (x_max - 2.0 * sigma) / c_upper)
+    t_max = min(EVOLVE_T_MAX, 0.7 * (x_max - 2.0 * sigma) / c_upper)
     grid = Grid1D.from_spacing(x_min, x_max, dx)
     cfg = EvolveConfig(
         grid=grid,

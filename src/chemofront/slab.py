@@ -27,6 +27,9 @@ from .grids import Field, Grid1D, tridiagonal_solver
 from .kernels import ChemoParams, KernelSpec
 from .reports import BoundsReport
 
+NEWTON_TOL = 1e-10  # max-norm residual that ends a tau stage
+NEWTON_MAX_ITER = 40  # Newton steps allowed per tau stage
+
 
 def theta_max(params: ChemoParams) -> float:
     """Largest admissible normalization value for the given parameters."""
@@ -42,8 +45,6 @@ class SlabConfig:
     theta: float = 0.005
     tau: float = 1.0
     dx: float = 0.05
-    tol: float = 1e-10
-    max_iter: int = 40
 
     def __post_init__(self):
         if self.a < 20:
@@ -170,11 +171,11 @@ def _newton(
     i0 = grid.index_of(0.0)
     coupled = tau != 0.0 and config.params.chi != 0.0
     v = _frozen_advection(u, config, tau)
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         pin = i0 + int(np.argmax(u[i0:]))
         F = _bvp_residual(u, c, v, tau, config, pin)
         nrm = float(np.max(np.abs(F)))
-        if nrm < config.tol:
+        if nrm < NEWTON_TOL:
             return u, c, nrm, it, True
         lower, main, upper = _bands(c, tau * v, dx)
         main[1:-1] += 1.0 - 2.0 * u[1:-1]

@@ -19,7 +19,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh
 
 from .convolve import advection, advection_gradient
-from .grids import Field, Grid1D, tridiagonal_solver
+from .grids import Field, Grid1D, periodic_difference, tridiagonal_solver
 from .slab import SlabSolution
 
 CERTIFICATE_GATE = 0.1  # largest |chi|(1/sigma + sigma^2) the certificate covers
@@ -30,8 +30,6 @@ CERTIFICATE_SPEEDS = (2.0, 2.01, 2.05)
 class Potential:
     grid: Grid1D
     values: np.ndarray
-    provenance: dict
-    epsilon: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -73,12 +71,7 @@ def assemble_potential(u: Field, c: float, v: Field, vx: Field) -> Potential:
     mismatch = float(np.max(np.abs(vals - alt)))
     if mismatch > 1e-12:
         raise AssertionError(f"potential forms disagree by {mismatch:.3e}")
-    return Potential(
-        grid=u.grid,
-        values=vals,
-        provenance={"c": c, "u": u, "v": v, "vx": vx},
-        epsilon=eps,
-    )
+    return Potential(u.grid, vals)
 
 
 def _periodic_solver(main: np.ndarray, off: float):
@@ -98,13 +91,6 @@ def _periodic_solver(main: np.ndarray, off: float):
         return y - (w @ y) * z
 
     return periodic_solve
-
-
-def _periodic_difference(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out_i = y_{i+1} - y_i with periodic wrap (slices, no np.roll copies)."""
-    np.subtract(y[1:], y[:-1], out=out[:-1])
-    out[-1] = y[0] - y[-1]
-    return out
 
 
 def dense_principal_eigenvalue(V: Potential) -> float:
@@ -134,7 +120,7 @@ def principal_eigenpair(V: Potential) -> EigenPair:
     def quad_form(y: np.ndarray) -> float:
         # y' A y for unit y via the difference form, which is exact on
         # near-constant eigenvectors where A @ y suffers cancellation
-        grad = _periodic_difference(y, difference)
+        grad = periodic_difference(y, difference)
         grad /= dx
         return float(grad @ grad - (V.values[:-1] * y) @ y)
 
@@ -156,12 +142,12 @@ def principal_eigenpair(V: Potential) -> EigenPair:
             shift = lam - max(res, 1e-8)
             solve = _periodic_solver(main - shift, off)
     else:
-        raise RuntimeError(f"inverse iteration stagnated (residual {res:.3e})")
+        raise np.linalg.LinAlgError(f"inverse iteration stagnated (residual {res:.3e})")
 
     if x.sum() < 0:
         x = -x
     if np.min(x) <= 0.0:
-        raise RuntimeError("principal eigenvector changed sign")
+        raise np.linalg.LinAlgError("principal eigenvector changed sign")
     phi = Field(V.grid, np.append(x, x[0]) / x[0])
     rq = rayleigh_quotient(phi, V)
     return EigenPair(lam=lam, phi=phi, rayleigh_residual=abs(rq - lam))
@@ -182,7 +168,7 @@ def rayleigh_quotient(psi: Field, V: Potential) -> float:
     mass = float(np.sum(vals**2)) * dx
     if mass < 1e-14:
         raise ValueError("test function is numerically zero")
-    grad = _periodic_difference(vals, np.empty(vals.size)) / dx
+    grad = periodic_difference(vals, np.empty(vals.size)) / dx
     kinetic = float(np.sum(grad**2)) * dx
     potential = float(np.sum(V.values[:-1] * vals**2)) * dx
     return (kinetic - potential) / mass

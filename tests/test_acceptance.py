@@ -8,7 +8,12 @@ module-scoped fixtures.
 import numpy as np
 import pytest
 
-from chemofront.convolve import advection, advection_bounds_check, advection_gradient
+from chemofront.convolve import (
+    advection,
+    advection_bounds_check,
+    advection_gradient,
+    direct_drift,
+)
 from chemofront.diagnostics import (
     empirical_poincare_constants,
     moment_check,
@@ -149,10 +154,14 @@ def test_criterion_06_convolution_agreement_and_bounds():
     bounds_ok = True
     for _ in range(100):
         u = Field(grid, rng.standard_normal(grid.n))
-        v_f = advection(u, EXP, params, method="fft")
-        v_d = advection(u, EXP, params, method="direct")
-        worst = max(worst, float(np.max(np.abs(v_f.values - v_d.values))))
+        v_f = advection(u, EXP, params)
         vx = advection_gradient(u, EXP, params)
+        v_d, vx_d = direct_drift(u, EXP, params)
+        worst = max(
+            worst,
+            float(np.max(np.abs(v_f.values - v_d.values))),
+            float(np.max(np.abs(vx.values - vx_d.values))),
+        )
         bounds_ok = bounds_ok and advection_bounds_check(u, v_d, vx, params).all_passed
     ok = worst <= 1e-10 and bounds_ok
     report(6, "convolution cross-check + bounds", ok, f"max fft/direct gap {worst:.2e}")
@@ -166,23 +175,19 @@ def test_criterion_07_eigensolver_oracles():
     for _ in range(50):
         vals = rng.uniform(-1.0, 1.0, grid.n)
         vals[-1] = vals[0]
-        pot = Potential(grid=grid, values=vals, provenance={}, epsilon=0.0)
+        pot = Potential(grid=grid, values=vals)
         lam = principal_eigenpair(pot).lam
         worst = max(worst, abs(lam - dense_principal_eigenvalue(pot)))
 
     const_grid = Grid1D.from_spacing(-10.0, 10.0, 0.05)
-    const = Potential(
-        grid=const_grid, values=np.full(const_grid.n, -0.3), provenance={}, epsilon=0.0
-    )
+    const = Potential(grid=const_grid, values=np.full(const_grid.n, -0.3))
     const_lam = principal_eigenpair(const).lam
     const_err = abs(const_lam - 0.3)
     worst = max(worst, abs(const_lam - dense_principal_eigenvalue(const)))
 
     tent_grid = Grid1D(-1.0, 1.0, 8193)
     psi = tent_test_function(tent_grid, a=1.0)
-    zero_pot = Potential(
-        grid=tent_grid, values=np.zeros(tent_grid.n), provenance={}, epsilon=0.0
-    )
+    zero_pot = Potential(grid=tent_grid, values=np.zeros(tent_grid.n))
     tent_err = abs(rayleigh_quotient(psi, zero_pot) - 48.0)
 
     ok = worst <= 1e-8 and const_err <= 1e-12 and tent_err <= 1e-6 * 48.0

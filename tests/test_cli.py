@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import chemofront
-from chemofront import evolver, grids
+from chemofront import evolver, grids, spectral
 from chemofront.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -113,6 +113,12 @@ def test_evolve_blow_up_exits_three(monkeypatch, capsys):
     argv = ["evolve", "--xmin", "-20", "--xmax", "100", "--dx", "0.2", "--dt", "0.01", "--tmax", "1"]
     assert run(argv) == EXIT_NO_CONVERGENCE
     assert "exceeds 10x the a-priori bound" in capsys.readouterr().err
+
+
+def test_eigen_solver_failure_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "_periodic_solver", lambda main, off: lambda rhs: rhs.copy())
+    assert run(["eigen", "--a", "20"]) == EXIT_NO_CONVERGENCE
+    assert "inverse iteration stagnated" in capsys.readouterr().err
 
 
 def test_evolve_margin_abort_exits_three(out_dir):

@@ -8,7 +8,6 @@ from chemofront.kernels import (
     KernelSpec,
     kbar,
     kbar_inverse,
-    kbar_sigma,
     kernel_eval,
     kernel_scaled,
     parse_kernel,
@@ -116,7 +115,6 @@ def test_validate_kernel(spec):
 def test_scaled_kernel():
     spec = KernelSpec("exp")
     assert kernel_scaled(spec, 2.0, 2.0) == pytest.approx(kernel_eval(spec, 1.0) / 2.0)
-    assert kbar_sigma(spec, 2.0, 2.0) == pytest.approx(kbar(spec, 1.0))
     with pytest.raises(ValueError):
         kernel_scaled(spec, -1.0, 1.0)
 

@@ -188,3 +188,14 @@ def test_fast_regime_wave_converges():
     assert sol.converged
     assert sol.tau == 1.0
     assert sol.c == pytest.approx(11.53654557283846, abs=1e-8)
+
+
+def test_wide_weak_wave_follows_the_tau_homotopy():
+    # a wide kernel with weak coupling; a Newton solve straight at tau = 1 from
+    # the FKPP seed lands on another wave (c ~ 1.99934), the homotopy on this one
+    config = SlabConfig(a=60.0, params=ChemoParams(-0.05, 200.0), spec=EXP)
+    sol = fixed_point(config)
+    assert sol.converged
+    assert sol.tau == 1.0
+    assert [tau for tau, _ in sol.tau_path] == pytest.approx([0.1 * k for k in range(11)])
+    assert sol.c == pytest.approx(2.0182352163168034, abs=1e-8)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from chemofront.grids import Field, Grid1D, constant_field
+from chemofront import spectral
+from chemofront.grids import Field, Grid1D, constant_field, periodic_difference
 from chemofront.kernels import ChemoParams, KernelSpec
 from chemofront.slab import SlabConfig, fixed_point
 from chemofront.spectral import (
     CERTIFICATE_SPEEDS,
     Potential,
-    _periodic_difference,
     _periodic_solver,
     assemble_potential,
     dense_principal_eigenvalue,
@@ -46,8 +46,8 @@ def slab_attractive():
     return sol
 
 
-def constant_potential(grid, value, eps=0.0):
-    return Potential(grid=grid, values=np.full(grid.n, value), provenance={}, epsilon=eps)
+def constant_potential(grid, value):
+    return Potential(grid=grid, values=np.full(grid.n, value))
 
 
 def test_assemble_potential_constant_inputs():
@@ -56,7 +56,6 @@ def test_assemble_potential_constant_inputs():
     # u = v = vx = 0, c = 2: V = 0
     pot = assemble_potential(zero, 2.0, zero, zero)
     assert np.max(np.abs(pot.values)) == 0.0
-    assert pot.epsilon == 0.0
     # c = 2.1: V = -eps(1 + eps/4) with eps = 0.1
     pot = assemble_potential(zero, 2.1, zero, zero)
     assert np.max(np.abs(pot.values + 0.1 * 1.025)) < 1e-15
@@ -123,7 +122,7 @@ def test_matches_dense_oracle_on_random_potentials():
     for _ in range(10):
         vals = rng.uniform(-1.0, 1.0, grid.n)
         vals[-1] = vals[0]
-        pot = Potential(grid=grid, values=vals, provenance={}, epsilon=0.0)
+        pot = Potential(grid=grid, values=vals)
         pair = principal_eigenpair(pot)
         lam_dense = dense_principal_eigenvalue(pot)
         assert pair.lam == pytest.approx(lam_dense, abs=1e-9)
@@ -135,8 +134,8 @@ def test_shift_covariance():
     grid = Grid1D(-5.0, 5.0, 257)
     vals = rng.uniform(-0.5, 0.5, grid.n)
     vals[-1] = vals[0]
-    base = Potential(grid=grid, values=vals, provenance={}, epsilon=0.0)
-    shifted = Potential(grid=grid, values=vals + 0.7, provenance={}, epsilon=0.0)
+    base = Potential(grid=grid, values=vals)
+    shifted = Potential(grid=grid, values=vals + 0.7)
     lam0 = principal_eigenpair(base).lam
     lam1 = principal_eigenpair(shifted).lam
     assert lam1 == pytest.approx(lam0 - 0.7, abs=1e-9)
@@ -155,9 +154,9 @@ def test_periodic_stencils_match_roll():
     grid = Grid1D(-5.0, 5.0, 201)
     vals = rng.standard_normal(grid.n)
     vals[-1] = vals[0]
-    V = Potential(grid=grid, values=rng.standard_normal(grid.n), provenance={}, epsilon=0.0)
+    V = Potential(grid=grid, values=rng.standard_normal(grid.n))
     y, dx = vals[:-1], grid.dx
-    assert np.array_equal(_periodic_difference(y, np.empty(y.size)), np.roll(y, -1) - y)
+    assert np.array_equal(periodic_difference(y, np.empty(y.size)), np.roll(y, -1) - y)
     grad = (np.roll(y, -1) - y) / dx
     expected = (np.sum(grad**2) * dx - np.sum(V.values[:-1] * y**2) * dx) / (np.sum(y**2) * dx)
     assert rayleigh_quotient(Field(grid, vals), V) == expected
@@ -179,7 +178,7 @@ def test_variational_principle():
     grid = Grid1D(-5.0, 5.0, 129)
     vals = rng.uniform(-1.0, 1.0, grid.n)
     vals[-1] = vals[0]
-    pot = Potential(grid=grid, values=vals, provenance={}, epsilon=0.0)
+    pot = Potential(grid=grid, values=vals)
     lam = principal_eigenpair(pot).lam
     assert lam == pytest.approx(dense_principal_eigenvalue(pot), abs=1e-8)
     L = grid.x_max - grid.x_min
@@ -266,7 +265,17 @@ def test_eigenvalue_grid_convergence_is_second_order():
     for n in (201, 401, 801):
         grid = Grid1D(-10.0, 10.0, n)
         vals = -0.3 - 0.1 * np.cos(np.pi * grid.x / 10.0)
-        pot = Potential(grid=grid, values=vals, provenance={}, epsilon=0.0)
+        pot = Potential(grid=grid, values=vals)
         lams.append(principal_eigenpair(pot).lam)
     ratio = (lams[0] - lams[1]) / (lams[1] - lams[2])
     assert 3.5 < ratio < 4.5
+
+
+def test_stagnated_inverse_iteration_raises_linalg_error(monkeypatch):
+    # a solve that returns its right-hand side never moves the iterate off the
+    # constant vector, which is no eigenvector of a non-constant potential
+    monkeypatch.setattr(spectral, "_periodic_solver", lambda main, off: lambda rhs: rhs.copy())
+    grid = Grid1D(-5.0, 5.0, 129)
+    V = Potential(grid=grid, values=np.cos(2.0 * np.pi * grid.x / 10.0))
+    with pytest.raises(np.linalg.LinAlgError, match="stagnated"):
+        principal_eigenpair(V)
