@@ -3,8 +3,9 @@
 The convolution uses exact per-cell integrals of K_sigma (differences of the
 antiderivative Kbar) against nodal samples of the extended profile, so the jump
 of K at the origin is never sampled and constants are annihilated to rounding.
-Contributions from the constant extensions beyond the truncation window are
-added in closed form through Kbar.  Everything that depends only on the kernel
+Only the grid values are transformed: the constant extensions contribute
+through partial sums of the weights inside the truncation window and in closed
+form through Kbar beyond it.  Everything that depends only on the kernel
 and the grid is built once per (kernel, sigma, dx, n) in a cached DriftOperator,
 which convolves by FFT; :func:`direct_drift` sums the same convolutions
 directly and serves the tests as their oracle.
@@ -69,14 +70,29 @@ def _cell_masses(spec: KernelSpec, sigma: float, dx: float, half_width: int) -> 
     return m
 
 
+def _pad_sums(taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the constant pads at the nodes whose window reaches them.
+
+    With taps t_0..t_2J, node i receives left_ext * sum_{k > i+J} t_k for
+    i < J and right_ext * sum_{k <= i+J-n} t_k for i >= n-J.
+    """
+    half = (taps.size - 1) // 2
+    left = np.cumsum(taps[: half : -1])[::-1]
+    right = np.cumsum(taps[:half])
+    for table in (left, right):
+        table.setflags(write=False)
+    return left, right
+
+
 class DriftOperator:
     """Convolution against K_sigma and dK_sigma on one grid, built once.
 
     Holds the window, the cell weights and symmetric masses with their rFFTs,
-    and the closed-form tail constants.  The FFT length only has to cover the
-    padded profile: with size >= padded.size >= kernel.size, the 'valid'
-    outputs kernel.size-1 .. padded.size-1 of the circular convolution never
-    wrap, so each call is one rfft and one irfft.
+    suffix and prefix sums of both for the constant pads, and the closed-form
+    tail constants beyond the window.  Only the n grid values are transformed: of
+    their linear convolution with 2J+1 taps, outputs J..J+n-1 are the nodes,
+    and at any FFT length size >= n+J those never wrap, so each call is one
+    rfft and one irfft.  The pads' share is added from those sums.
     """
 
     def __init__(self, spec: KernelSpec, sigma: float, dx: float, n: int):
@@ -87,45 +103,45 @@ class DriftOperator:
         masses = _cell_masses(spec, sigma, dx, self.half)
         self.mass0 = masses[0]
         self.sym = np.concatenate([masses[:0:-1], masses])  # m_{|j|}, j = -J..J
-        self.padded_size = n + 2 * self.half
-        self.size = next_fast_len(self.padded_size, real=True)
+        self.size = next_fast_len(n + self.half, real=True)
         self.weights_hat = rfft(self.weights, self.size)
         self.sym_hat = rfft(self.sym, self.size)
+        self.weights_pads = _pad_sums(self.weights)
+        self.sym_pads = _pad_sums(self.sym)
         self.kb_tail = float(kbar(spec, (self.half + 0.5) * dx / sigma))
         self.m_tail = -float(kernel_scaled(spec, sigma, (self.half + 0.5) * dx))
         for table in (self.sym, self.weights_hat, self.sym_hat):
             table.setflags(write=False)  # shared by every caller of the cache
 
-    def _extended(self, u: Field) -> np.ndarray:
-        """The extended profile over the window, zero-filled up to the FFT length."""
-        half, n = self.half, u.values.size
-        padded = np.zeros(self.size)
-        padded[:half] = u.left_ext
-        padded[half : half + n] = u.values
-        padded[half + n : self.padded_size] = u.right_ext
-        return padded
-
-    def _convolve(self, u: Field, kernel_hat: np.ndarray) -> np.ndarray:
-        spectrum = rfft(self._extended(u), overwrite_x=True)
+    def _convolve(
+        self, values: np.ndarray, left_ext: float, right_ext: float,
+        kernel_hat: np.ndarray, pads: tuple[np.ndarray, np.ndarray],
+    ) -> np.ndarray:
+        half, n = self.half, values.size
+        spectrum = rfft(values, self.size)
         spectrum *= kernel_hat
-        full = irfft(spectrum, self.size, overwrite_x=True)
-        return full[2 * self.half : self.padded_size]  # the 'valid' part
+        out = irfft(spectrum, self.size, overwrite_x=True)[half : half + n]
+        out[:half] += left_ext * pads[0]
+        out[n - half :] += right_ext * pads[1]
+        return out
 
-    def _advection_from(self, interior: np.ndarray, u: Field, chi: float) -> np.ndarray:
-        return chi * (interior + (u.right_ext - u.left_ext) * self.kb_tail)
+    def _advection_from(self, interior, left_ext, right_ext, chi) -> np.ndarray:
+        return chi * (interior + (right_ext - left_ext) * self.kb_tail)
 
-    def _gradient_from(self, folded: np.ndarray, u: Field, chi: float) -> np.ndarray:
-        folded = folded + self.mass0 * u.values
-        folded += self.m_tail * (u.left_ext + u.right_ext)
-        return -(chi / self.sigma) * u.values + chi * folded
+    def _gradient_from(self, folded, values, left_ext, right_ext, chi) -> np.ndarray:
+        folded = folded + self.mass0 * values
+        folded += self.m_tail * (left_ext + right_ext)
+        return -(chi / self.sigma) * values + chi * folded
 
-    def advection(self, u: Field, chi: float) -> np.ndarray:
+    def advection(self, values: np.ndarray, left_ext: float, right_ext: float, chi: float) -> np.ndarray:
         """Nodal values of v = chi * (K_sigma convolved with the extended profile)."""
-        return self._advection_from(self._convolve(u, self.weights_hat), u, chi)
+        interior = self._convolve(values, left_ext, right_ext, self.weights_hat, self.weights_pads)
+        return self._advection_from(interior, left_ext, right_ext, chi)
 
-    def gradient(self, u: Field, chi: float) -> np.ndarray:
+    def gradient(self, values: np.ndarray, left_ext: float, right_ext: float, chi: float) -> np.ndarray:
         """Nodal values of v_x (see :func:`advection_gradient`)."""
-        return self._gradient_from(self._convolve(u, self.sym_hat), u, chi)
+        folded = self._convolve(values, left_ext, right_ext, self.sym_hat, self.sym_pads)
+        return self._gradient_from(folded, values, left_ext, right_ext, chi)
 
 
 @lru_cache(maxsize=64)
@@ -137,7 +153,8 @@ def drift_operator(spec: KernelSpec, sigma: float, dx: float, n: int) -> DriftOp
 def advection(u: Field, spec: KernelSpec, params: ChemoParams) -> Field:
     """v = chi * (K_sigma convolved with the extended profile), sampled on u's grid."""
     op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
-    return Field(u.grid, op.advection(u, params.chi), left_ext=0.0, right_ext=0.0)
+    v = op.advection(u.values, u.left_ext, u.right_ext, params.chi)
+    return Field(u.grid, v, left_ext=0.0, right_ext=0.0)
 
 
 def advection_gradient(u: Field, spec: KernelSpec, params: ChemoParams) -> Field:
@@ -147,16 +164,20 @@ def advection_gradient(u: Field, spec: KernelSpec, params: ChemoParams) -> Field
              + chi * int_0^inf (u_ext(x-y) + u_ext(x+y)) dK_sigma(y).
     """
     op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
-    return Field(u.grid, op.gradient(u, params.chi), left_ext=0.0, right_ext=0.0)
+    vx = op.gradient(u.values, u.left_ext, u.right_ext, params.chi)
+    return Field(u.grid, vx, left_ext=0.0, right_ext=0.0)
 
 
 def direct_drift(u: Field, spec: KernelSpec, params: ChemoParams) -> tuple[Field, Field]:
-    """v and v_x with both convolutions summed directly (np.convolve): the tests'
-    oracle for the FFT path, called by no solver."""
+    """v and v_x with both convolutions summed directly (np.convolve) over the
+    explicitly padded profile: the tests' oracle for the FFT path and its
+    closed-form pads, called by no solver."""
     op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
-    ext = op._extended(u)[: op.padded_size]
-    v = op._advection_from(np.convolve(ext, op.weights, mode="valid"), u, params.chi)
-    vx = op._gradient_from(np.convolve(ext, op.sym, mode="valid"), u, params.chi)
+    left, right, chi = u.left_ext, u.right_ext, params.chi
+    pad = np.ones(op.half)
+    ext = np.concatenate([left * pad, u.values, right * pad])
+    v = op._advection_from(np.convolve(ext, op.weights, mode="valid"), left, right, chi)
+    vx = op._gradient_from(np.convolve(ext, op.sym, mode="valid"), u.values, left, right, chi)
     return Field(u.grid, v), Field(u.grid, vx)
 
 

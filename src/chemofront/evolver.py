@@ -1,20 +1,25 @@
 """IMEX time stepper for u_t + (vu)_x = u_xx + u(1-u) with v = chi K_sigma * u.
 
-Diffusion is treated implicitly (second-order centered, tridiagonal matrix
-factored once by LAPACK), the logistic reaction and the upwinded advective
-flux explicitly; the drift comes from one convolution operator built per run.
-Boundary nodes are held at the Dirichlet values given by the field extensions,
-which also feed the nonlocal convolution.
+Diffusion is treated implicitly (second-order centered, the symmetric positive
+definite interior matrix factored by LAPACK), the logistic reaction and the
+upwinded advective flux explicitly; the drift comes from one convolution
+operator per active grid size.  Boundary nodes are held at the Dirichlet
+values given by the field extensions, which also feed the nonlocal
+convolution.  Ahead of the front, where the profile is still exactly zero,
+no work is done: a step advances only the nodes the front has reached plus a
+guard in which anything the implicit solve carries further underflows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .convolve import advection, drift_operator  # noqa: F401 - perfbench/spans.py binds evolver.advection
-from .grids import Field, Grid1D, smoothed_step_field, tridiagonal_solver
+from .grids import Field, Grid1D, smoothed_step_field
 from .kernels import ChemoParams, KernelSpec
 
 
@@ -83,7 +88,6 @@ class Trajectory:
 @dataclass(frozen=True)
 class SpeedEstimate:
     c: float
-    method: str
     window: tuple[float, float]
     stderr: float
 
@@ -103,17 +107,56 @@ def level_crossing(u: Field, level: float) -> float | None:
     return float(x[i] + frac * u.grid.dx)
 
 
-def _diffusion_solver(grid: Grid1D, dt: float):
-    """Solve with (I - dt D2), identity rows at the Dirichlet boundaries,
-    factored once."""
-    n, dx = grid.n, grid.dx
-    main = np.full(n, 1.0 + 2.0 * dt / dx**2)
-    lower = np.full(n - 1, -dt / dx**2)
-    upper = lower.copy()
-    main[0] = main[-1] = 1.0
-    lower[-1] = 0.0  # row n-1
-    upper[0] = 0.0  # row 0
-    return tridiagonal_solver(lower, main, upper)
+def _diffusion_solver(n: int, a: float):
+    """Solve (I - a D2) u = rhs on n nodes with u_0 = rhs_0, u_{n-1} = rhs_{n-1}.
+
+    The Dirichlet rows are eliminated into the first and last interior
+    right-hand sides; the remaining matrix is symmetric positive definite and
+    factored once (LAPACK pttrf).  The returned solve overwrites ``rhs``.
+    """
+    d, e, info = dpttrf(np.full(n - 2, 1.0 + 2.0 * a), np.full(n - 3, -a))
+    if info != 0:
+        raise np.linalg.LinAlgError("diffusion matrix is not positive definite")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        interior = rhs[1:-1]
+        interior[0] += a * rhs[0]
+        interior[-1] += a * rhs[-1]
+        dpttrs(d, e, interior, overwrite_b=1)
+        return rhs
+
+    return solve
+
+
+def _guard_nodes(a: float, bound: float) -> int:
+    """Nodes within which the implicit solve's output underflows ahead of the front.
+
+    Beyond the right-hand side's support the solution of (I - a D2) u = rhs
+    decays by r per node, the root in (0, 1) of a r^2 - (1 + 2a) r + a = 0.
+    The count is the number of nodes over which r takes 10x the sup bound
+    below the smallest subnormal, plus one node for the upwind flux's reach
+    and one for the Dirichlet node.
+    """
+    r = 2.0 * a / (1.0 + 2.0 * a + math.sqrt(1.0 + 4.0 * a))
+    decades = math.log(np.finfo(float).smallest_subnormal) - math.log(10.0 * bound)
+    return math.ceil(decades / math.log(r)) + 2
+
+
+def _active_end(values: np.ndarray, m: int, guard: int) -> int:
+    """End of the nodes [0, m) a step advances (m = 0 asks for a first value).
+
+    Beyond the last nonzero node the reaction and the upwind flux vanish, and
+    the implicit solve's output underflows within ``guard`` nodes of it, so
+    the nodes past m stay exactly zero.  m keeps the guard beyond the last
+    nonzero node and grows by half when a nonzero value enters it.  A nonzero
+    right extension holds the last node nonzero, so then m = n.
+    """
+    n = values.size
+    if m == n or (m > 0 and not values[m - guard : m].any()):
+        return m
+    nonzero = np.flatnonzero(values)
+    last = int(nonzero[-1]) if nonzero.size else 0
+    return min(n, max(m + m // 2, last + 1 + guard))
 
 
 def _advective_divergence(u: np.ndarray, v: np.ndarray, dx: float) -> np.ndarray:
@@ -132,27 +175,29 @@ def evolve(config: EvolveConfig) -> Trajectory:
 
     The run aborts (returning the partial trajectory with ``abort_reason`` set)
     if the tracked front comes within ``front_margin`` of the right boundary,
-    so the profile never feels the constant right extension.
+    so the profile never feels the constant right extension.  Each step
+    advances the nodes [0, m) of :func:`_active_end`; snapshots and front
+    positions are taken on the whole grid.
     """
     grid, dt = config.grid, config.dt
     u = config.initial_field()
     u = u.with_values(u.values.copy())  # the caller's initial field is left as given
-    u.values[0] = u.left_ext
-    u.values[-1] = u.right_ext
-    solve = _diffusion_solver(grid, dt)
+    values, left, right = u.values, u.left_ext, u.right_ext
+    values[0] = left
+    values[-1] = right
+    a = dt / grid.dx**2
     bound = sup_bound(config.params)
+    guard = _guard_nodes(a, bound)
     n_steps = int(round(config.t_max / dt))
     snap_stride = max(1, int(round(config.snapshot_every / dt)))
     chi = config.params.chi
-    if chi != 0.0:
-        drift = drift_operator(config.spec, config.params.sigma, grid.dx, grid.n)
 
     traj = Trajectory(snapshots=[], front_positions=[], config=config)
 
     def record(t: float) -> bool:
         if not config.keep_snapshots:
             traj.snapshots.clear()
-        traj.snapshots.append((t, u.with_values(u.values.copy())))
+        traj.snapshots.append((t, u.with_values(values.copy())))
         pos = level_crossing(u, config.track_level)
         if pos is not None:
             traj.front_positions.append((t, pos))
@@ -167,21 +212,29 @@ def evolve(config: EvolveConfig) -> Trajectory:
     if not record(0.0):
         return traj
 
+    m = 0
     for step in range(1, n_steps + 1):
+        active_end = _active_end(values, m, guard)
+        if active_end != m:
+            m = active_end
+            solve = _diffusion_solver(m, a)
+            if chi != 0.0:
+                drift = drift_operator(config.spec, config.params.sigma, grid.dx, m)
+        active = values[:m]
         if chi == 0.0:
             adv = 0.0
         else:
-            v = drift.advection(u, chi)
-            adv = _advective_divergence(u.values, v, grid.dx)
-        rhs = u.values + dt * (u.values * (1.0 - u.values) - adv)
-        rhs[0] = u.left_ext
-        rhs[-1] = u.right_ext
+            v = drift.advection(active, left, right, chi)
+            adv = _advective_divergence(active, v, grid.dx)
+        rhs = active + dt * (active * (1.0 - active) - adv)
+        rhs[0] = left
+        rhs[-1] = right
         new = solve(rhs)
         negative = new < 0.0
         if np.any(negative):
             traj.clipped_mass += float(-new[negative].sum()) * grid.dx
             new[negative] = 0.0
-        u.values = new
+        active[:] = new
         if np.max(new) > 10.0 * bound:
             raise BlowUpError(
                 f"max u = {np.max(new):.3g} exceeds 10x the a-priori bound {bound:.3g}"
@@ -225,7 +278,6 @@ def measure_speed(
     coeffs, cov = np.polyfit(t_fit, x_fit, 1, cov=True)
     return SpeedEstimate(
         c=float(coeffs[0]),
-        method="level-set fit",
         window=(float(t_fit[0]), float(t_fit[-1])),
         stderr=float(np.sqrt(cov[0, 0])),
     )

@@ -28,6 +28,7 @@ from .kernels import ChemoParams, KernelSpec
 from .reports import BoundsReport
 
 NEWTON_TOL = 1e-10  # max-norm residual that ends a tau stage
+POLISH_TOL = 1e-12  # residual a converged root with a negative interior node is refined to
 NEWTON_MAX_ITER = 40  # Newton steps allowed per tau stage
 
 
@@ -154,7 +155,7 @@ def _bvp_residual(u: np.ndarray, c: float, v: np.ndarray, tau: float, config: Sl
 
 
 def _newton(
-    u: np.ndarray, c: float, tau: float, config: SlabConfig
+    u: np.ndarray, c: float, tau: float, config: SlabConfig, tol: float = NEWTON_TOL
 ) -> tuple[np.ndarray, float, float, int, bool]:
     """Newton on the slab equations augmented with u[pin] = theta, at one tau.
 
@@ -175,7 +176,7 @@ def _newton(
         pin = i0 + int(np.argmax(u[i0:]))
         F = _bvp_residual(u, c, v, tau, config, pin)
         nrm = float(np.max(np.abs(F)))
-        if nrm < NEWTON_TOL:
+        if nrm < tol:
             return u, c, nrm, it, True
         lower, main, upper = _bands(c, tau * v, dx)
         main[1:-1] += 1.0 - 2.0 * u[1:-1]
@@ -219,12 +220,18 @@ def _newton(
     return u, c, float(np.max(np.abs(_bvp_residual(u, c, v, tau, config, pin)))), it, False
 
 
+def _positive_interior(u: np.ndarray) -> bool:
+    return bool(np.min(u[1:-1]) > 0.0)
+
+
 def fixed_point(config: SlabConfig, seed: SlabSolution | None = None) -> SlabSolution:
     """Solve the slab problem with tau-continuation from the FKPP limit.
 
     Continues tau upward in increments of 0.1 from 0 to ``config.tau``,
     reusing each converged pair as the next seed.  On non-convergence the best
-    iterate is returned flagged, not raised.
+    iterate is returned flagged, not raised; so is a root that is not positive
+    at every interior node (a sign-changing solution of the slab equations,
+    not a wave).
     """
     if seed is not None:
         c, u = seed.c, seed.u.values.copy()
@@ -242,6 +249,13 @@ def fixed_point(config: SlabConfig, seed: SlabSolution | None = None) -> SlabSol
         path.append((tau, c))
         if not ok:
             break
+    if ok and not _positive_interior(u):
+        # where the profile has decayed below the inexact Newton step's error,
+        # a root can dip below zero: refine it before judging its sign
+        u, c, residual, iters, ok = _newton(u, c, tau, config, POLISH_TOL)
+        total_iters += iters
+        path[-1] = (tau, c)
+    ok = ok and _positive_interior(u)
     field = Field(config.grid, u, left_ext=1.0, right_ext=0.0)
     norm_gap = abs(max_right_half(field) - config.theta)
     return SlabSolution(
@@ -289,6 +303,13 @@ def slab_bounds_check(sol: SlabSolution, tol: float = 1e-6) -> BoundsReport:
 
     bound = sup_bound(sol.config.params)
     report.add("sup-bound", "profile-upper-bound", float(np.max(u.values)), bound, slack=tol)
+    # u > 0 at every interior node, without slack: -min u <= -(smallest subnormal)
+    report.add(
+        "positivity",
+        "positive-interior",
+        -float(np.min(u.values[1:-1])),
+        -np.finfo(float).smallest_subnormal,
+    )
 
     i0 = grid.index_of(0.0)
     right_slopes = np.diff(u.values[i0:]) / grid.dx

@@ -100,6 +100,12 @@ def test_evolve_command_end_to_end(out_dir):
     assert 1.5 < meta["c"] < 2.1
 
 
+def test_sign_changing_slab_root_exits_three(out_dir):
+    assert run(["slab", "--a", "240", "--out", "wave.csv"]) == EXIT_NO_CONVERGENCE
+    meta = json.loads((out_dir / "wave.csv.meta.json").read_text())
+    assert not meta["converged"] and meta["residual"] < 1e-10
+
+
 def test_singular_tridiagonal_system_exits_three(monkeypatch, capsys):
     # np.linalg.LinAlgError subclasses ValueError, which alone would read as exit 2
     dgttrf = grids.dgttrf

@@ -32,30 +32,35 @@ def test_step_profile_matches_closed_form():
 
 
 def test_fft_and_direct_agree():
+    # the FFT path transforms the grid values alone and adds the constant pads
+    # from prefix sums; the oracle convolves the explicitly padded profile
     rng = np.random.default_rng(7)
     cases = [
-        # (grid, spec, params, expected padded size)
+        # (grid, spec, params, expected window half-width J)
         (Grid1D(-10.0, 10.0, 512), EXP, ChemoParams(-0.5, 1.3), None),
-        # window capped at n-1: the kernel covers the whole grid
-        (Grid1D(-10.0, 10.0, 300), EXP, ChemoParams(-0.5, 5.0), 3 * 300 - 2),
-        (Grid1D(-10.0, 10.0, 87), EXP, ChemoParams(0.4, 5.0), 259),
+        # window capped at J = n-1: the kernel covers the whole grid
+        (Grid1D(-10.0, 10.0, 300), EXP, ChemoParams(-0.5, 5.0), 299),
+        (Grid1D(-10.0, 10.0, 87), EXP, ChemoParams(0.4, 5.0), 86),
         # a window of about 1/7 of the grid
-        (Grid1D.from_spacing(-140.0, 140.0, 0.1), EXP, ChemoParams(-0.5, 1.268), 2801 + 2 * 400),
-        # small padded sizes, down to the smallest grid
-        (Grid1D.from_spacing(-12.0, 11.9, 0.1), KernelSpec("tophat"), ChemoParams(-0.5, 0.8), 256),
-        (Grid1D.from_spacing(-12.0, 12.0, 0.1), KernelSpec("tophat"), ChemoParams(-0.5, 0.8), 257),
-        (Grid1D(-2.0, 2.0, 40), EXP, ChemoParams(-0.5, 1.0), 3 * 40 - 2),
-        (Grid1D(-2.0, 2.0, 16), KernelSpec("tophat"), ChemoParams(0.3, 1.2), 16 + 2 * 5),
+        (Grid1D.from_spacing(-140.0, 140.0, 0.1), EXP, ChemoParams(-0.5, 1.268), 400),
+        # narrow windows, down to the smallest grid
+        (Grid1D.from_spacing(-12.0, 11.9, 0.1), KernelSpec("tophat"), ChemoParams(-0.5, 0.8), 8),
+        (Grid1D.from_spacing(-12.0, 12.0, 0.1), KernelSpec("tophat"), ChemoParams(-0.5, 0.8), 8),
+        (Grid1D(-2.0, 2.0, 40), EXP, ChemoParams(-0.5, 1.0), 39),
+        (Grid1D(-2.0, 2.0, 16), KernelSpec("tophat"), ChemoParams(0.3, 1.2), 5),
     ]
-    for grid, spec, params, padded_size in cases:
-        if padded_size is not None:
-            assert drift_operator(spec, params.sigma, grid.dx, grid.n).padded_size == padded_size
-        for _ in range(3):
-            u = random_field(grid, rng, exts=tuple(rng.standard_normal(2)))
-            for op, oracle in zip((advection, advection_gradient), direct_drift(u, spec, params)):
-                v_f = op(u, spec, params).values
+    extension_pairs = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7)]
+    for grid, spec, params, half in cases:
+        op = drift_operator(spec, params.sigma, grid.dx, grid.n)
+        if half is not None:
+            assert op.half == half
+        assert op.size >= grid.n + op.half
+        for exts in extension_pairs + [tuple(rng.standard_normal(2)) for _ in range(3)]:
+            u = random_field(grid, rng, exts=exts)
+            for drift, oracle in zip((advection, advection_gradient), direct_drift(u, spec, params)):
+                v_f = drift(u, spec, params).values
                 v_d = oracle.values
-                assert np.max(np.abs(v_f - v_d)) / np.max(np.abs(v_d)) < 1e-13, (grid, op)
+                assert np.max(np.abs(v_f - v_d)) / np.max(np.abs(v_d)) < 1e-13, (grid, exts, drift)
 
 
 def test_constants_are_annihilated():

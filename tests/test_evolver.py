@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from chemofront import convolve
+from scipy.fft import next_fast_len
+
+from chemofront import convolve, evolver
 from chemofront.evolver import (
     EvolveConfig,
     Trajectory,
@@ -220,7 +222,7 @@ def test_diffusion_solve_matches_dense_solve():
     mat[[0, -1]] = np.eye(n)[[0, -1]]  # Dirichlet identity rows
     rhs = np.random.default_rng(5).standard_normal(n)
     expected = np.linalg.solve(mat, rhs)
-    got = _diffusion_solver(grid, dt)(rhs)
+    got = _diffusion_solver(n, r)(rhs.copy())
     assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) < 1e-13
 
 
@@ -228,27 +230,106 @@ def test_coupled_evolve_builds_one_operator_and_one_transform_per_step(monkeypat
     calls = {"rfft": [], "irfft": 0}
     rfft, irfft = convolve.rfft, convolve.irfft
 
-    def counting_rfft(x, *args, **kwargs):
-        calls["rfft"].append(np.size(x))
-        return rfft(x, *args, **kwargs)
+    def counting_rfft(x, n, *args, **kwargs):
+        calls["rfft"].append(n)  # the transform length
+        return rfft(x, n, *args, **kwargs)
 
     def counting_irfft(*args, **kwargs):
         calls["irfft"] += 1
         return irfft(*args, **kwargs)
 
+    sizes = []
+
+    def fetch_operator(spec, sigma, dx, n):
+        sizes.append(n)
+        return convolve.drift_operator(spec, sigma, dx, n)
+
     monkeypatch.setattr(convolve, "rfft", counting_rfft)
     monkeypatch.setattr(convolve, "irfft", counting_irfft)
-    grid = Grid1D.from_spacing(-20.0, 31.3, 0.1)  # a grid no other test uses
+    monkeypatch.setattr(evolver, "drift_operator", fetch_operator)
+    # a grid no other test uses, wider than the first active end
+    grid = Grid1D.from_spacing(-20.0, 151.3, 0.1)
     config = make_config(grid, params=ChemoParams(-0.05, 1.0), t_max=0.05, snapshot_every=0.01)
     n_steps = round(config.t_max / config.dt)
     misses = convolve.drift_operator.cache_info().misses
     evolve(config)
-    assert convolve.drift_operator.cache_info().misses == misses + 1
-    size = convolve.drift_operator(EXP, 1.0, grid.dx, grid.n).size
-    assert calls["rfft"].count(size) == n_steps  # the profile, once per step
-    assert len(calls["rfft"]) == n_steps + 2  # the two kernel spectra, once per run
+    assert len(sizes) >= 2 and sizes == sorted(set(sizes))  # one operator per active size
+    assert convolve.drift_operator.cache_info().misses == misses + len(sizes)
+    lengths = {convolve.drift_operator(EXP, 1.0, grid.dx, m).size for m in sizes}
+    for m in sizes:  # the transform covers the active grid and one window
+        op = convolve.drift_operator(EXP, 1.0, grid.dx, m)
+        assert op.size == next_fast_len(m + op.half, real=True)
+    assert set(calls["rfft"]) == lengths
+    # the profile once per step, the two kernel spectra once per operator
+    assert len(calls["rfft"]) == n_steps + 2 * len(sizes)
     assert calls["irfft"] == n_steps
     calls["rfft"].clear()
-    evolve(config)  # a second run reuses the operator
-    assert convolve.drift_operator.cache_info().misses == misses + 1
+    first = list(sizes)
+    evolve(config)  # a second run reuses the operators
+    assert sizes == 2 * first
+    assert convolve.drift_operator.cache_info().misses == misses + len(first)
     assert len(calls["rfft"]) == n_steps
+
+
+def trimmed_and_whole_runs(monkeypatch, config):
+    """The run as evolve does it, with the active ends it chose, and the same
+    run stepping every node."""
+    ends = []
+    active_end = evolver._active_end
+
+    def spy(values, *args):
+        ends.append(active_end(values, *args))
+        return ends[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evolver, "_active_end", spy)
+        trimmed = evolve(config)
+    with monkeypatch.context() as patch:
+        patch.setattr(evolver, "_active_end", lambda values, *args: values.size)
+        whole = evolve(config)
+    return trimmed, whole, ends
+
+
+def second_bump_field(grid):
+    values = smoothed_step_field(grid).values + 0.5 * np.exp(-((grid.x - grid.x_max + 8.0) ** 2))
+    values[-1] = 0.0
+    return Field(grid, values, left_ext=1.0, right_ext=0.0)
+
+
+@pytest.mark.parametrize(
+    "grid, params, dt, t_max, bump",
+    [
+        (Grid1D.from_spacing(-100.0, 900.0, 1.0), ChemoParams(-20.0, 200.0), 0.1, 20.0, False),
+        (Grid1D.from_spacing(-20.0, 100.0, 0.1), ChemoParams(-0.05, 1.0), 0.0025, 4.0, False),
+        (Grid1D.from_spacing(-20.0, 60.0, 0.1), ChemoParams(-0.05, 1.0), 0.0025, 1.0, True),
+    ],
+    ids=["fast", "slow", "second-bump"],
+)
+def test_trimmed_run_matches_whole_grid_run(monkeypatch, grid, params, dt, t_max, bump):
+    config = make_config(grid, params=params, dt=dt, t_max=t_max, snapshot_every=t_max / 20,
+                         initial=second_bump_field(grid) if bump else None)
+    trimmed, whole, ends = trimmed_and_whole_runs(monkeypatch, config)
+    if bump:
+        assert set(ends) == {grid.n}  # nonzero near the right end: nothing to trim
+    else:
+        assert ends[0] < grid.n  # the zero leading edge was left out
+    assert [t for t, _ in trimmed.front_positions] == [t for t, _ in whole.front_positions]
+    gap = max(abs(a - b) for (_, a), (_, b) in zip(trimmed.front_positions, whole.front_positions))
+    assert gap < 1e-12
+    assert np.max(np.abs(trimmed.final().values - whole.final().values)) < 1e-12
+    assert trimmed.clipped_mass == whole.clipped_mass
+
+
+def test_nonzero_right_extension_is_never_trimmed(monkeypatch):
+    grid = Grid1D.from_spacing(-20.0, 100.0, 0.1)
+    # zero ahead of the front up to the last node; a right extension at or
+    # above the tracked level would end the run at t = 0 (margin abort)
+    step = smoothed_step_field(grid)
+    initial = Field(grid, step.values, left_ext=1.0, right_ext=0.4)
+    config = make_config(grid, params=ChemoParams(-0.05, 1.0), dt=0.0025, t_max=0.1,
+                         snapshot_every=0.01, initial=initial)
+    trimmed, whole, ends = trimmed_and_whole_runs(monkeypatch, config)
+    assert set(ends) == {grid.n}
+    assert len(trimmed.front_positions) == 11
+    assert trimmed.front_positions == whole.front_positions
+    assert np.array_equal(trimmed.final().values, whole.final().values)

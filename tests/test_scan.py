@@ -131,6 +131,14 @@ def test_scan_skips_invalid_cells():
     assert records[0].c is None
 
 
+def test_scan_flags_sign_changing_slab_root():
+    # at a = 240 the slab solve lands on a root that changes sign in its tail
+    config = ScanConfig(chi_values=(0.0,), sigma_values=(1.0,), spec=EXP, slab_a=240.0)
+    (record,) = run_scan(config)
+    assert record.flags == ["slab-not-converged"]
+    assert record.classification == "skipped"
+
+
 def test_sandwich_table(small_scan):
     _, records = small_scan
     table = sandwich_table(records)

@@ -170,6 +170,7 @@ def test_speeds_match_reference(chi, sigma):
     v = _frozen_advection(u, config, sol.tau)
     residual = _bvp_residual(u, sol.c, v, sol.tau, config, pin)
     assert np.max(np.abs(residual)) < 1e-8
+    assert slab_bounds_check(sol)["positivity"].passed
 
 
 def test_uncoupled_solve_makes_no_convolution(monkeypatch):
@@ -188,6 +189,8 @@ def test_fast_regime_wave_converges():
     assert sol.converged
     assert sol.tau == 1.0
     assert sol.c == pytest.approx(11.53654557283846, abs=1e-8)
+    # its tail falls below the first Newton solve's error; refined, it is positive
+    assert np.min(sol.u.values[1:-1]) > 0.0
 
 
 def test_wide_weak_wave_follows_the_tau_homotopy():
@@ -199,3 +202,14 @@ def test_wide_weak_wave_follows_the_tau_homotopy():
     assert sol.tau == 1.0
     assert [tau for tau, _ in sol.tau_path] == pytest.approx([0.1 * k for k in range(11)])
     assert sol.c == pytest.approx(2.0182352163168034, abs=1e-8)
+
+
+@pytest.mark.parametrize("chi", [0.0, -0.05])
+def test_sign_changing_root_is_not_converged(chi):
+    # at a = 240 the solve from the default seed lands on a root of the slab
+    # equations that changes sign in its far tail (values near -3e-23)
+    sol = fixed_point(SlabConfig(a=240.0, params=ChemoParams(chi, 1.0), spec=EXP))
+    assert sol.residual < 1e-10  # a root, not a failed solve
+    assert np.min(sol.u.values[1:-1]) < 0.0
+    assert not sol.converged
+    assert [c.name for c in slab_bounds_check(sol).failures()] == ["positivity"]
