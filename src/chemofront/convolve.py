@@ -17,11 +17,28 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .grids import Field
 from .kernels import ChemoParams, KernelSpec, kbar, kernel_scaled
 from .reports import BoundsReport
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c >= n, a fast size for numpy.fft."""
+    best = 2 * n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
 
 class KernelResolutionError(ValueError):
     """The grid is too coarse to resolve the jump of the rescaled kernel."""
@@ -103,7 +120,7 @@ class DriftOperator:
         masses = _cell_masses(spec, sigma, dx, self.half)
         self.mass0 = masses[0]
         self.sym = np.concatenate([masses[:0:-1], masses])  # m_{|j|}, j = -J..J
-        self.size = next_fast_len(n + self.half, real=True)
+        self.size = next_fast_len(n + self.half)
         self.weights_hat = rfft(self.weights, self.size)
         self.sym_hat = rfft(self.sym, self.size)
         self.weights_pads = _pad_sums(self.weights)
@@ -120,13 +137,15 @@ class DriftOperator:
         half, n = self.half, values.size
         spectrum = rfft(values, self.size)
         spectrum *= kernel_hat
-        out = irfft(spectrum, self.size, overwrite_x=True)[half : half + n]
+        out = irfft(spectrum, self.size)[half : half + n]
         out[:half] += left_ext * pads[0]
         out[n - half :] += right_ext * pads[1]
         return out
 
     def _advection_from(self, interior, left_ext, right_ext, chi) -> np.ndarray:
-        return chi * (interior + (right_ext - left_ext) * self.kb_tail)
+        interior += (right_ext - left_ext) * self.kb_tail  # a fresh array: no copy
+        interior *= chi
+        return interior
 
     def _gradient_from(self, folded, values, left_ext, right_ext, chi) -> np.ndarray:
         folded = folded + self.mass0 * values

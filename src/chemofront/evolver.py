@@ -159,14 +159,24 @@ def _active_end(values: np.ndarray, m: int, guard: int) -> int:
     return min(n, max(m + m // 2, last + 1 + guard))
 
 
-def _advective_divergence(u: np.ndarray, v: np.ndarray, dx: float) -> np.ndarray:
-    """d(vu)/dx at interior nodes by first-order upwinding at cell faces."""
-    # face velocities between consecutive nodes
-    v_face = 0.5 * (v[:-1] + v[1:])
-    upwind = np.where(v_face >= 0.0, u[:-1], u[1:])
-    flux = v_face * upwind
-    div = np.zeros_like(u)
-    div[1:-1] = (flux[1:] - flux[:-1]) / dx
+def _advective_divergence(
+    u: np.ndarray, v: np.ndarray, dx: float, face: np.ndarray, upwind: np.ndarray,
+    flux: np.ndarray, div: np.ndarray,
+) -> np.ndarray:
+    """d(vu)/dx at the interior nodes by first-order upwinding at cell faces.
+
+    Writes into the caller's buffers: ``face``, the boolean ``upwind`` and
+    ``flux`` hold n - 1 face values, ``div`` the n - 2 interior divergences,
+    and is returned.
+    """
+    np.add(v[:-1], v[1:], out=face)
+    face *= 0.5  # face velocities between consecutive nodes
+    np.greater_equal(face, 0.0, out=upwind)  # take the left node's value
+    np.copyto(flux, u[1:])
+    np.copyto(flux, u[:-1], where=upwind)
+    flux *= face
+    np.subtract(flux[1:], flux[:-1], out=div)
+    div /= dx
     return div
 
 
@@ -218,20 +228,24 @@ def evolve(config: EvolveConfig) -> Trajectory:
         if active_end != m:
             m = active_end
             solve = _diffusion_solver(m, a)
+            # every step at this size works in these buffers
+            rhs, face, flux, div = np.empty(m), np.empty(m - 1), np.empty(m - 1), np.empty(m - 2)
+            upwind = np.empty(m - 1, dtype=bool)
             if chi != 0.0:
                 drift = drift_operator(config.spec, config.params.sigma, grid.dx, m)
         active = values[:m]
-        if chi == 0.0:
-            adv = 0.0
-        else:
+        np.subtract(1.0, active, out=rhs)
+        rhs *= active  # the reaction u(1 - u)
+        if chi != 0.0:
             v = drift.advection(active, left, right, chi)
-            adv = _advective_divergence(active, v, grid.dx)
-        rhs = active + dt * (active * (1.0 - active) - adv)
+            rhs[1:-1] -= _advective_divergence(active, v, grid.dx, face, upwind, flux, div)
+        rhs *= dt
+        rhs += active
         rhs[0] = left
         rhs[-1] = right
         new = solve(rhs)
-        negative = new < 0.0
-        if np.any(negative):
+        if new.min() < 0.0:
+            negative = new < 0.0
             traj.clipped_mass += float(-new[negative].sum()) * grid.dx
             new[negative] = 0.0
         active[:] = new

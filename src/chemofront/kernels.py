@@ -9,6 +9,10 @@ Four families are supported:
 
 ``Kbar`` denotes the antiderivative Kbar(x) = -integral_x^inf K(y) dy, which is
 nonnegative, nonincreasing on [0, inf) and satisfies Kbar(0) = 1/2.
+
+scipy's quadrature, root finding and special functions are imported inside
+the functions that use them (the stretched family, ``kbar_inverse``'s root
+finding and ``validate_kernel``), so importing the package does not load them.
 """
 
 from __future__ import annotations
@@ -17,10 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc
 
 from .reports import BoundsReport
 
@@ -32,6 +32,8 @@ TAIL_EPS = 1e-14
 
 def _d_alpha(alpha: float) -> float:
     """Normalizer D_alpha = (integral_0^inf exp(-x^alpha) dx)^(-alpha) = Gamma(1+1/alpha)^(-alpha)."""
+    from scipy.special import gamma as gamma_fn
+
     return float(gamma_fn(1.0 + 1.0 / alpha) ** -alpha)
 
 
@@ -56,6 +58,8 @@ def _stretched_cutoff(alpha: float) -> float:
     The pointwise bound |K(x)| = TAIL_EPS underestimates the cutoff because
     the tail integral carries an algebraic prefactor, so solve on Kbar.
     """
+    from scipy.optimize import brentq
+
     lo = (_d_alpha(alpha) * np.log(0.5 / TAIL_EPS)) ** (1.0 / alpha)
     if _kbar_stretched(alpha, lo) <= TAIL_EPS:
         return float(lo)
@@ -189,6 +193,9 @@ def _kbar_stretched(alpha: float, x):
     (1/2) (D^{1/alpha}/alpha) Gamma(1/alpha) Q(1/alpha, x^alpha/D),
     which evaluates to 1/2 at x = 0 by the normalization of D.
     """
+    from scipy.special import gamma as gamma_fn
+    from scipy.special import gammaincc
+
     d = _d_alpha(alpha)
     x = np.asarray(x, dtype=float)
     prefactor = 0.5 * d ** (1.0 / alpha) * gamma_fn(1.0 / alpha) / alpha
@@ -208,6 +215,8 @@ def kbar_inverse(spec: KernelSpec, w: float) -> float:
         return float((k - 1.0) * ((2.0 * w) ** (1.0 / (1.0 - k)) - 1.0))
     if w == 0.5:
         return 0.0
+    from scipy.optimize import brentq
+
     hi = spec.tail_cutoff
     while kbar(spec, hi) > w:
         hi *= 2.0
@@ -223,6 +232,8 @@ def _quad_with_tail(spec: KernelSpec, integrand) -> float:
     range misses the mass near the origin, so split at 50 and integrate the
     remainder in log coordinates.
     """
+    from scipy.integrate import quad
+
     split = min(spec.tail_cutoff, 50.0)
     total, _ = quad(integrand, 0.0, split, limit=400)
     if spec.tail_cutoff > split:

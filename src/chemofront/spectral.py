@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh
 
 from .convolve import advection, advection_gradient
@@ -207,7 +206,9 @@ def transform_to_w(sol: SlabSolution) -> TransformedProfile:
     v, vx = slab_drift(sol)
     grid = sol.u.grid
     i0 = grid.index_of(0.0)
-    integral = cumulative_trapezoid(v.values, grid.x, initial=0.0)
+    vals = v.values
+    integral = np.zeros(grid.n)
+    np.cumsum(np.diff(grid.x) * (vals[1:] + vals[:-1]) / 2.0, out=integral[1:])  # trapezoid rule
     integral -= integral[i0]
     exponent = 0.5 * sol.c * grid.x - 0.5 * integral
     if np.max(exponent) > 700.0:

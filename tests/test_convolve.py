@@ -8,6 +8,7 @@ from chemofront.convolve import (
     advection_gradient,
     direct_drift,
     drift_operator,
+    next_fast_len,
 )
 from chemofront.grids import Field, Grid1D, constant_field, step_field
 from chemofront.kernels import ChemoParams, KernelSpec, kbar
@@ -163,3 +164,10 @@ def test_extension_tail_enters_drift():
     assert abs(v.values[-1]) < 1e-12
     # and the peak magnitude is |chi| Kbar(~0) ~ |chi|/2
     assert np.max(np.abs(v.values)) == pytest.approx(0.5, rel=0.05)
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    sizes = [*range(1, 20001), 10**6 + 1, 2**20 + 1, 3**13 + 1, 5**9 - 1, 10**7 + 3]
+    assert [next_fast_len(n) for n in sizes] == [scipy_next_fast_len(n, real=True) for n in sizes]

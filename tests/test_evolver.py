@@ -7,6 +7,7 @@ from chemofront import convolve, evolver
 from chemofront.evolver import (
     EvolveConfig,
     Trajectory,
+    _advective_divergence,
     _diffusion_solver,
     evolve,
     level_crossing,
@@ -224,6 +225,23 @@ def test_diffusion_solve_matches_dense_solve():
     expected = np.linalg.solve(mat, rhs)
     got = _diffusion_solver(n, r)(rhs.copy())
     assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) < 1e-13
+
+
+def test_upwind_divergence_matches_the_upwind_pick_bitwise():
+    rng = np.random.default_rng(11)
+    n, dx = 400, 0.1
+    u = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))  # exact zeros, as ahead of a front
+    v = rng.standard_normal(n)
+    v[rng.random(n) < 0.2] = 0.0  # zero face velocities, from both signs
+    v[rng.random(n) < 0.1] *= 1e-320
+    v_face = 0.5 * (v[:-1] + v[1:])
+    flux = v_face * np.where(v_face >= 0.0, u[:-1], u[1:])
+    expected = (flux[1:] - flux[:-1]) / dx
+    upwind = np.empty(n - 1, dtype=bool)
+    face, faces, div = np.empty(n - 1), np.empty(n - 1), np.empty(n - 2)
+    got = _advective_divergence(u, v, dx, face, upwind, faces, div)
+    assert got is div
+    assert got.tobytes() == expected.tobytes()  # signed zeros included
 
 
 def test_coupled_evolve_builds_one_operator_and_one_transform_per_step(monkeypatch):
