@@ -24,7 +24,7 @@ from .diagnostics import decay_fit, monotonicity_check, moment_check
 from .evolver import BlowUpError, EvolveConfig, evolve, measure_speed, speed_from_integral
 from .grids import Field, Grid1D
 from .kernels import ChemoParams, parse_kernel, validate_kernel
-from .scan import ScanConfig, run_scan, sandwich_table, write_scan_csv
+from .scan import FAILURE_FLAGS, ScanConfig, run_scan, sandwich_table, write_scan_csv
 from .slab import SlabConfig, fixed_point
 from .spectral import assemble_potential, principal_eigenpair, slab_drift
 
@@ -142,7 +142,6 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_check.add_argument("--chi", type=float, required=True)
     p_check.add_argument("--sigma", type=float, required=True)
     p_check.add_argument("--kernel", default="exp")
-    p_check.add_argument("--theta", type=float, default=0.005)
     p_check.add_argument("--out")
 
     if defaults:
@@ -272,10 +271,12 @@ def _cmd_scan(args) -> int:
     table = sandwich_table(records)
     n_ok = sum(1 for row in table if row["passed"])
     n_skipped = sum(1 for r in records if r.classification == "skipped")
+    n_failed = sum(any(f.startswith(FAILURE_FLAGS) for f in r.flags) for r in records)
     print(f"scan: {len(records)} cells -> {path} (sandwich ok: {n_ok}/{len(table)})")
-    if n_skipped or n_ok < len(table):
+    if n_skipped or n_failed or n_ok < len(table):
         n_outside = len(table) - n_ok
-        print(f"scan: {n_skipped} skipped, {n_outside} outside the sandwich", file=sys.stderr)
+        print(f"scan: {n_skipped} skipped, {n_outside} outside the sandwich, "
+              f"{n_failed} with a failed solve or certificate", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 

@@ -42,7 +42,6 @@ class EvolveConfig:
     spec: KernelSpec
     initial: Field | None = None  # default: smoothed step of width 2
     track_level: float = 0.5
-    keep_snapshots: bool = True  # False: keep only the latest profile
 
     def __post_init__(self):
         if self.t_max <= 0:
@@ -72,14 +71,11 @@ class EvolveConfig:
 
 @dataclass
 class Trajectory:
-    snapshots: list[tuple[float, Field]]
-    front_positions: list[tuple[float, float]]
+    snapshots: list[tuple[float, Field]]  # the latest (t, profile) only
+    front_positions: list[tuple[float, float]]  # (t, x) at the tracked level
     clipped_mass: float = 0.0
     abort_reason: str | None = None
     config: EvolveConfig | None = None
-
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.snapshots])
 
     def final(self) -> Field:
         return self.snapshots[-1][1]
@@ -181,13 +177,15 @@ def _advective_divergence(
 
 
 def evolve(config: EvolveConfig) -> Trajectory:
-    """Advance the profile to t_max, streaming periodic snapshots.
+    """Advance the profile to t_max, tracking the front every ``snapshot_every``.
 
-    The run aborts (returning the partial trajectory with ``abort_reason`` set)
-    if the tracked front comes within ``front_margin`` of the right boundary,
-    so the profile never feels the constant right extension.  Each step
-    advances the nodes [0, m) of :func:`_active_end`; snapshots and front
-    positions are taken on the whole grid.
+    Each record appends the tracked front position and replaces the one
+    profile kept in ``snapshots``.  The run aborts (returning the partial
+    trajectory with ``abort_reason`` set) if the tracked front comes within
+    ``front_margin`` of the right boundary, so the profile never feels the
+    constant right extension.  Each step advances the nodes [0, m) of
+    :func:`_active_end`; profiles and front positions are taken on the whole
+    grid.
     """
     grid, dt = config.grid, config.dt
     u = config.initial_field()
@@ -205,9 +203,7 @@ def evolve(config: EvolveConfig) -> Trajectory:
     traj = Trajectory(snapshots=[], front_positions=[], config=config)
 
     def record(t: float) -> bool:
-        if not config.keep_snapshots:
-            traj.snapshots.clear()
-        traj.snapshots.append((t, u.with_values(values.copy())))
+        traj.snapshots[:] = [(t, u.with_values(values.copy()))]
         pos = level_crossing(u, config.track_level)
         if pos is not None:
             traj.front_positions.append((t, pos))
@@ -262,23 +258,19 @@ def evolve(config: EvolveConfig) -> Trajectory:
 def measure_speed(
     traj: Trajectory, level: float = 0.5, window_fraction: float = 0.5
 ) -> SpeedEstimate:
-    """Least-squares front speed from level-crossing positions vs time.
+    """Least-squares front speed from the tracked front positions vs time.
 
     The fit uses the last ``window_fraction`` of the trajectory, where the
-    transient from the initial datum has decayed.  At the tracked level the
-    positions ``evolve`` recorded at every snapshot are used, so a trajectory
-    run with ``keep_snapshots=False`` can be measured there.
+    transient from the initial datum has decayed.  ``level`` must be the
+    level ``evolve`` tracked.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    if traj.config is not None and level == traj.config.track_level:
-        pts = traj.front_positions
-    else:
-        pts = []
-        for t, snap in traj.snapshots:
-            pos = level_crossing(snap, level)
-            if pos is not None:
-                pts.append((t, pos))
+    if traj.config is not None and level != traj.config.track_level:
+        raise ValueError(
+            f"level {level} was not tracked (the run tracked {traj.config.track_level})"
+        )
+    pts = traj.front_positions
     if not pts:
         raise ValueError(f"level {level} never attained")
     times = np.array([p[0] for p in pts])

@@ -42,6 +42,8 @@ CSV_COLUMNS = (
     "classification",
     "flags",
 )
+# flags that fail a scan even when the cell still has a speed
+FAILURE_FLAGS = ("slab-not-converged", "certificate-failed", "evolve-error")
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,11 @@ def fast_predicate(chi: float, sigma: float) -> float:
     return min(sigma, sigma / abs(chi))
 
 
+def speed_upper_bound(chi: float, sigma: float) -> float:
+    """The sandwich's upper wave-speed bound 2 sqrt(1 + |chi|/sigma) + |chi|/2."""
+    return 2.0 * np.sqrt(1.0 + abs(chi) / sigma) + abs(chi) / 2.0
+
+
 def _classify(record: RegimeRecord) -> str:
     c = record.c
     if c is None:
@@ -116,7 +123,7 @@ def _evolve_speed(params: ChemoParams, config: ScanConfig) -> float:
     # advective CFL near one at the front suppresses upwind diffusion
     v_scale = max(1.0, abs(params.chi) / 2.0)
     dt = min(dx**2 / 4.0, dx / v_scale)
-    c_upper = 2.0 * np.sqrt(1.0 + abs(params.chi) / sigma) + abs(params.chi) / 2.0
+    c_upper = speed_upper_bound(params.chi, sigma)
     t_max = min(EVOLVE_T_MAX, 0.7 * (x_max - 2.0 * sigma) / c_upper)
     grid = Grid1D.from_spacing(x_min, x_max, dx)
     cfg = EvolveConfig(
@@ -126,7 +133,6 @@ def _evolve_speed(params: ChemoParams, config: ScanConfig) -> float:
         snapshot_every=max(10.0 * dt, t_max / 200.0),
         params=params,
         spec=config.spec,
-        keep_snapshots=False,  # the fit needs the front positions only
     )
     traj = evolve(cfg)
     return measure_speed(traj, 0.5, 0.4).c
@@ -209,7 +215,7 @@ def sandwich_table(records: list[RegimeRecord], slack: float = 0.05) -> list[dic
         raise ValueError("no records")
     table = []
     for r in records:
-        upper = 2.0 * np.sqrt(1.0 + abs(r.chi) / r.sigma) + abs(r.chi) / 2.0
+        upper = speed_upper_bound(r.chi, r.sigma)
         c = r.c
         table.append(
             {
@@ -229,6 +235,8 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return "%.17g" % value
+    if isinstance(value, list):  # the flags
+        return ";".join(value)
     return str(value)
 
 
@@ -236,21 +244,7 @@ def records_to_csv(records: list[RegimeRecord]) -> str:
     """Deterministic CSV rendering (17 significant digits, \\n newlines)."""
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        row = [
-            _fmt(r.chi),
-            _fmt(r.sigma),
-            r.kernel,
-            _fmt(r.a),
-            _fmt(r.dx),
-            _fmt(r.c_slab),
-            _fmt(r.c_evolve),
-            _fmt(r.lambda_cert),
-            _fmt(r.slow_pred),
-            _fmt(r.fast_pred),
-            r.classification,
-            ";".join(r.flags),
-        ]
-        lines.append(",".join(row))
+        lines.append(",".join(_fmt(getattr(r, name)) for name in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -260,6 +260,17 @@ def test_scan_with_skipped_cell_exits_one(out_dir):
     assert row[10] == "skipped"
 
 
+def test_scan_with_failed_slab_solve_exits_one(out_dir, capsys):
+    # at a = 240 the slab root changes sign, so it is flagged as not converged;
+    # the evolve speed still classifies the cell, but the scan must not pass
+    code = run(["scan", "--chis=0", "--sigmas", "1", "--mode", "both", "--a", "240",
+                "--out", "scan.csv"])
+    assert code == EXIT_CHECK_FAILED
+    row = (out_dir / "scan.csv").read_text().splitlines()[1].split(",")
+    assert row[10] == "slow" and row[11] == "slab-not-converged"
+    assert "1 with a failed solve or certificate" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"chi": -0.05, "damping": 0.5}))

@@ -95,20 +95,12 @@ def test_steady_states_preserved_with_advection():
 
 
 def test_measure_speed_on_synthetic_translation():
-    grid = Grid1D.from_spacing(-20.0, 80.0, 0.05)
     c_true = 3.0
-    snaps = []
-    for t in np.linspace(0.0, 10.0, 41):
-        vals = 0.5 * (1.0 + np.tanh(-(grid.x - c_true * t) / 2.0))
-        snaps.append((float(t), Field(grid, vals, left_ext=1.0, right_ext=0.0)))
-    traj = Trajectory(snapshots=snaps, front_positions=[])
-    est = measure_speed(traj)
-    assert est.c == pytest.approx(c_true, abs=1e-6)
-    assert est.stderr < 1e-6
-    # a translating profile gives the same speed at every level
-    est_lo = measure_speed(traj, level=0.2)
-    est_hi = measure_speed(traj, level=0.8)
-    assert est_lo.c == pytest.approx(est_hi.c, abs=1e-6)
+    track = [(float(t), 1.5 + c_true * float(t)) for t in np.linspace(0.0, 10.0, 41)]
+    est = measure_speed(Trajectory(snapshots=[], front_positions=track))
+    assert est.c == pytest.approx(c_true, abs=1e-12)
+    assert est.stderr < 1e-12
+    assert est.window == (5.0, 10.0)
 
 
 def test_measure_speed_error_paths():
@@ -120,6 +112,11 @@ def test_measure_speed_error_paths():
         measure_speed(traj)  # level never attained
     with pytest.raises(ValueError):
         measure_speed(traj, level=0.0)
+    track = [(0.1 * i, 0.2 * i) for i in range(20)]
+    tracked = Trajectory(snapshots=[], front_positions=track, config=make_config(grid))
+    assert measure_speed(tracked, 0.5).c == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(ValueError, match="not tracked"):
+        measure_speed(tracked, 0.4)  # only the tracked level was recorded
 
 
 def test_speed_from_integral_sigmoid():
@@ -152,9 +149,11 @@ def test_margin_abort_returns_partial_trajectory():
     traj = evolve(cfg)
     assert traj.abort_reason is not None
     assert "margin" in traj.abort_reason
-    assert traj.times()[-1] < 50.0
-    # the front never reached the right boundary
-    assert traj.front_positions[-1][1] < grid.x_max
+    t_last, last = traj.snapshots[-1]
+    assert len(traj.snapshots) == 1 and traj.final() is last
+    assert t_last < 50.0 and traj.front_positions[-1][0] == t_last
+    # the front never reached the right boundary; it was recorded on the kept profile
+    assert traj.front_positions[-1][1] == level_crossing(last, 0.5) < grid.x_max
 
 
 def test_negative_values_are_clipped_and_logged():
@@ -170,18 +169,18 @@ def test_negative_values_are_clipped_and_logged():
 def test_profiles_respect_sup_bound():
     params = ChemoParams(-0.5, 1.0)
     grid = Grid1D.from_spacing(-30.0, 60.0, 0.25)
-    cfg = make_config(grid, params=params, dt=0.01, t_max=10.0, snapshot_every=1.0)
-    traj = evolve(cfg)
-    bound = sup_bound(params)
-    for _, snap in traj.snapshots:
-        assert np.max(snap.values) <= bound + 1e-6
+    for t_max in (1.0, 2.5, 5.0, 10.0):  # a run keeps only its final profile
+        cfg = make_config(grid, params=params, dt=0.01, t_max=t_max, snapshot_every=1.0)
+        traj = evolve(cfg)
+        assert np.max(traj.final().values) <= sup_bound(params) + 1e-6
 
 
 def test_snapshot_cadence():
     grid = Grid1D.from_spacing(-10.0, 10.0, 0.1)
     cfg = make_config(grid, dt=0.0025, t_max=1.0, snapshot_every=0.25)
     traj = evolve(cfg)
-    assert np.allclose(traj.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose([t for t, _ in traj.front_positions], [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert [t for t, _ in traj.snapshots] == [1.0]  # only the latest profile is kept
 
 
 def test_evolve_leaves_initial_field_untouched():
@@ -192,26 +191,9 @@ def test_evolve_leaves_initial_field_untouched():
     first = evolve(cfg)
     second = evolve(cfg)
     assert np.array_equal(initial.values, before)
-    assert first.times().tolist() == second.times().tolist()
-    for (_, a), (_, b) in zip(first.snapshots, second.snapshots):
-        assert np.array_equal(a.values, b.values)
+    assert first.snapshots[-1][0] == second.snapshots[-1][0] == pytest.approx(0.5)
+    assert np.array_equal(first.final().values, second.final().values)
     assert first.front_positions == second.front_positions
-
-
-def test_keep_snapshots_false_keeps_the_speed_fit():
-    grid = Grid1D.from_spacing(-20.0, 60.0, 0.2)
-    cfg = make_config(grid, params=ChemoParams(-0.05, 1.0), dt=0.01, t_max=10.0)
-    full = evolve(cfg)
-    light = evolve(make_config(grid, params=ChemoParams(-0.05, 1.0), dt=0.01, t_max=10.0,
-                               keep_snapshots=False))
-    assert [t for t, _ in light.snapshots] == [10.0]
-    assert np.array_equal(light.final().values, full.final().values)
-    assert light.front_positions == full.front_positions
-    # at the tracked level the recorded positions equal the snapshots' crossings
-    from_snapshots = measure_speed(Trajectory(snapshots=full.snapshots, front_positions=[]))
-    assert measure_speed(light, 0.5, 0.5) == measure_speed(full, 0.5, 0.5) == from_snapshots
-    with pytest.raises(ValueError):
-        measure_speed(light, 0.4)  # other levels need every snapshot
 
 
 def test_diffusion_solve_matches_dense_solve():

@@ -73,9 +73,13 @@ def test_assemble_potential_rejects_slow_speeds():
 
 
 def test_assemble_potential_two_forms_agree_on_slab(slab_repulsive):
+    # V = 1 - (u + (c - v)^2/4 - v_x/2) is the same potential written out
+    u = slab_repulsive.u.values
     v, vx = slab_drift(slab_repulsive)
-    pot = assemble_potential(slab_repulsive.u, slab_repulsive.c, v, vx)
-    assert np.all(np.isfinite(pot.values))
+    for c in (slab_repulsive.c, *CERTIFICATE_SPEEDS):
+        pot = assemble_potential(slab_repulsive.u, c, v, vx)
+        alt = 1.0 - (u + (c - v.values) ** 2 / 4.0 - vx.values / 2.0)
+        assert np.max(np.abs(pot.values - alt)) < 1e-12
 
 
 def test_constant_potential_eigenvalue_is_exact():
