@@ -12,7 +12,7 @@ from .grids import Field, Grid1D, constant_field, smoothed_step_field, step_fiel
 from .kernels import ChemoParams, KernelSpec, kbar, kbar_inverse, kernel_eval, parse_kernel
 from .convolve import advection, advection_gradient
 from .evolver import EvolveConfig, SpeedEstimate, Trajectory, evolve, measure_speed, speed_from_integral
-from .slab import SlabConfig, SlabSolution, continue_in_a, fixed_point, slab_bounds_check
+from .slab import SlabConfig, SlabSolution, fixed_point, slab_bounds_check
 from .spectral import (
     EigenPair,
     Potential,
@@ -31,7 +31,6 @@ from .diagnostics import (
     monotonicity_check,
     monotonicity_threshold,
     moment_check,
-    poincare_check,
 )
 from .scan import RegimeRecord, ScanConfig, run_scan, sandwich_table
 from .reports import BoundsReport, Check
@@ -59,7 +58,6 @@ __all__ = [
     "speed_from_integral",
     "SlabConfig",
     "SlabSolution",
-    "continue_in_a",
     "fixed_point",
     "slab_bounds_check",
     "EigenPair",
@@ -77,7 +75,6 @@ __all__ = [
     "monotonicity_check",
     "monotonicity_threshold",
     "moment_check",
-    "poincare_check",
     "RegimeRecord",
     "ScanConfig",
     "run_scan",

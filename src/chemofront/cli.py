@@ -117,7 +117,6 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_slab.add_argument("--a", type=float, default=60.0)
     p_slab.add_argument("--theta", type=float, default=0.005)
     p_slab.add_argument("--dx", type=float, default=0.05)
-    p_slab.add_argument("--tau", type=float, default=1.0)
 
     p_eigen = sub.add_parser("eigen", help="potential and principal eigenpair of a slab wave")
     common(p_eigen)
@@ -170,7 +169,13 @@ def _cmd_evolve(args) -> int:
         track_level=args.level,
     )
     traj = evolve(config)
-    est = measure_speed(traj, args.level, 0.4)
+    try:
+        est = measure_speed(traj, args.level, 0.4)
+    except ValueError as exc:
+        if traj.abort_reason is None:
+            raise
+        print(f"aborted: {traj.abort_reason} (no speed: {exc})", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     u = traj.final()
     v = advection(u, spec, params)
     vx = advection_gradient(u, spec, params)
@@ -200,9 +205,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_slab(args) -> int:
     spec = parse_kernel(args.kernel)
     params = ChemoParams(args.chi, args.sigma)
-    config = SlabConfig(
-        a=args.a, params=params, spec=spec, theta=args.theta, tau=args.tau, dx=args.dx
-    )
+    config = SlabConfig(a=args.a, params=params, spec=spec, theta=args.theta, dx=args.dx)
     sol = fixed_point(config)
     v, vx = slab_drift(sol)
     path = _out_path("slab.csv", args.out)

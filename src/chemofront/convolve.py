@@ -200,13 +200,11 @@ def direct_drift(u: Field, spec: KernelSpec, params: ChemoParams) -> tuple[Field
     return Field(u.grid, v), Field(u.grid, vx)
 
 
-def advection_bounds_check(
-    u: Field, v: Field, vx: Field, params: ChemoParams, slack: float | None = None
-) -> BoundsReport:
-    """Young-type convolution bounds on v and v_x against the extended sup norm."""
+def advection_bounds_check(u: Field, v: Field, vx: Field, params: ChemoParams) -> BoundsReport:
+    """Young-type convolution bounds on v and v_x against the extended sup norm,
+    with a discretization slack of 2 dx sup|u|."""
     sup_u = u.sup_norm()
-    if slack is None:
-        slack = 2.0 * u.grid.dx * sup_u
+    slack = 2.0 * u.grid.dx * sup_u
     report = BoundsReport()
     report.add(
         "sup-v",

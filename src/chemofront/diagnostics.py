@@ -26,24 +26,24 @@ def monotonicity_threshold(params: ChemoParams) -> float:
     return (1.0 - 2.0 * chi / sigma) / (1.0 - chi / sigma) ** 2
 
 
-def monotonicity_check(u: Field, params: ChemoParams, tol: float = 1e-10) -> BoundsReport:
+def monotonicity_check(u: Field, params: ChemoParams) -> BoundsReport:
     """Forward differences must be nonpositive wherever u is below threshold."""
     threshold = monotonicity_threshold(params)
     diffs = np.diff(u.values)
     below = u.values[:-1] < threshold
     worst = float(np.max(diffs[below], initial=-np.inf)) if below.any() else -np.inf
     report = BoundsReport()
-    report.add("tail-monotonicity", "monotone-below-threshold", worst, 0.0, slack=tol)
+    report.add("tail-monotonicity", "monotone-below-threshold", worst, 0.0, slack=1e-10)
     return report
 
 
-def decay_fit(u: Field, x_start: float, margin: float = 2.0) -> tuple[float, float]:
+def decay_fit(u: Field, x_start: float) -> tuple[float, float]:
     """Log-linear fit of the right tail: returns (mu, r_squared).
 
-    mu is minus the least-squares slope of log u on [x_start, x_max - margin].
+    mu is minus the least-squares slope of log u on [x_start, x_max - 2].
     """
     x = u.grid.x
-    window = (x >= x_start) & (x <= u.grid.x_max - margin)
+    window = (x >= x_start) & (x <= u.grid.x_max - 2.0)
     if window.sum() < 20:
         raise ValueError("decay window shorter than 20 points")
     vals = u.values[window]
@@ -111,39 +111,14 @@ def _test_functions(f_grid, count: int, rng: np.random.Generator) -> list[Field]
     return out
 
 
-def poincare_check(
-    u: Field,
-    v: Field,
-    vx: Field,
-    theta: float,
-    params: ChemoParams,
-    n_functions: int = 50,
-    seed: int = 1234,
-) -> BoundsReport:
-    """Empirical Poincare constant over a family of periodic test functions.
-
-    Reports the max ratio of each left side to the core right side; the checks
-    assert only finiteness (the bound's constant is existential).
-    """
-    c1, c2 = empirical_poincare_constants(
-        u, v, vx, theta, params, n_functions=n_functions, seed=seed
-    )
-    # the bound's constant is existential; assert only that the measured
-    # ratios are finite (guarded by a generous ceiling)
-    report = BoundsReport()
-    report.add("poincare-ratio-vx", "drift-derivative-poincare", c1, 1e12, slack=0.0)
-    report.add("poincare-ratio-v", "drift-poincare", c2, 1e12, slack=0.0)
-    return report
-
-
 def empirical_poincare_constants(
-    u: Field, v: Field, vx: Field, theta: float, params: ChemoParams,
-    n_functions: int = 50, seed: int = 1234,
+    u: Field, v: Field, vx: Field, theta: float, params: ChemoParams
 ) -> tuple[float, float]:
-    """Max LHS/RHS_core ratios over the test family (the measured constants)."""
-    rng = np.random.default_rng(seed)
+    """Max LHS/RHS_core ratios over 50 test functions, the random ones drawn
+    with a fixed seed (the measured constants; the bound's is existential)."""
+    rng = np.random.default_rng(1234)
     r1, r2 = [], []
-    for f in _test_functions(u.grid, n_functions, rng):
+    for f in _test_functions(u.grid, 50, rng):
         r = poincare_ratio(f, u, v, vx, theta, params)
         if r["rhs_core"] > 0:
             r1.append(abs(r["lhs1"]) / r["rhs_core"])
@@ -203,7 +178,6 @@ def advection_plateau_check(
     geometry: FrontGeometry,
     params: ChemoParams,
     eps: float,
-    tol: float = 1e-10,
 ) -> BoundsReport:
     """Ahead of a narrow front the drift must hold the plateau value
     (|chi|/2)(1 - eps/2)^2 over a window of length R*sigma."""
@@ -218,7 +192,7 @@ def advection_plateau_check(
     plateau = 0.5 * abs(params.chi) * (1.0 - eps / 2.0) ** 2
     min_v = float(np.min(v.values[window]))
     report = BoundsReport()
-    report.add("advection-plateau", "drift-plateau-ahead-of-front", plateau, min_v, slack=tol)
+    report.add("advection-plateau", "drift-plateau-ahead-of-front", plateau, min_v, slack=1e-10)
     return report
 
 

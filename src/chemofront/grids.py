@@ -90,13 +90,13 @@ def constant_field(grid: Grid1D, value: float) -> Field:
     return Field(grid, np.full(grid.n, float(value)), left_ext=value, right_ext=value)
 
 
-def step_field(grid: Grid1D, x_jump: float = 0.0) -> Field:
-    """1 for x < x_jump, 0 for x >= x_jump, with matching (1, 0) extensions."""
-    values = np.where(grid.x < x_jump, 1.0, 0.0)
+def step_field(grid: Grid1D) -> Field:
+    """1 for x < 0, 0 for x >= 0, with matching (1, 0) extensions."""
+    values = np.where(grid.x < 0.0, 1.0, 0.0)
     return Field(grid, values, left_ext=1.0, right_ext=0.0)
 
 
-def smoothed_step_field(grid: Grid1D, width: float = 2.0) -> Field:
-    """(1 + tanh(-x/width))/2 with (1, 0) extensions."""
-    values = 0.5 * (1.0 + np.tanh(-grid.x / width))
+def smoothed_step_field(grid: Grid1D) -> Field:
+    """(1 + tanh(-x/2))/2 with (1, 0) extensions."""
+    values = 0.5 * (1.0 + np.tanh(-grid.x / 2.0))
     return Field(grid, values, left_ext=1.0, right_ext=0.0)

@@ -71,11 +71,10 @@ def _stretched_cutoff(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which kernel family, its shape parameter, and its truncation radius."""
+    """Which kernel family and its shape parameter."""
 
     family: str
     shape: float | None = None
-    tail_cutoff: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -86,12 +85,11 @@ class KernelSpec:
         elif self.family == "stretched":
             if self.shape is None or not 0.0 < self.shape < 1.0:
                 raise ValueError("stretched kernel requires shape alpha in (0, 1)")
-        if self.tail_cutoff is None:
-            object.__setattr__(
-                self, "tail_cutoff", _default_tail_cutoff(self.family, self.shape)
-            )
-        elif self.tail_cutoff <= 0:
-            raise ValueError("tail_cutoff must be positive")
+
+    @property
+    def tail_cutoff(self) -> float:
+        """Truncation radius: beyond it Kbar < TAIL_EPS (the support edge for tophat)."""
+        return _default_tail_cutoff(self.family, self.shape)
 
     def __str__(self) -> str:
         if self.family == "powerlaw":

@@ -56,5 +56,5 @@ class BoundsReport:
     def to_dict(self) -> dict:
         return {"checks": [c.to_dict() for c in self.checks], "all_passed": self.all_passed}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)

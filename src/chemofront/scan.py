@@ -20,12 +20,13 @@ from .evolver import EvolveConfig, evolve, measure_speed
 from .grids import Grid1D
 from .kernels import ChemoParams, KernelSpec
 from .slab import SlabConfig, fixed_point
-from .spectral import slow_regime_certificate
+from .spectral import slow_predicate, slow_regime_certificate
 
 SLOW_PREDICATE_GATE = 0.15
 FAST_PREDICATE_GATE = 10.0
 SLOW_SPEED_WINDOW = (1.9, 2.1)
 FAST_SPEED_FACTOR = 0.75
+SANDWICH_SLACK = 0.05  # allowance of sandwich_table on both speed bounds
 EVOLVE_T_MAX = 150.0  # longest time-dependent run of an evolve cell
 
 CSV_COLUMNS = (
@@ -82,10 +83,6 @@ class RegimeRecord:
     @property
     def c(self) -> float | None:
         return self.c_slab if self.c_slab is not None else self.c_evolve
-
-
-def slow_predicate(chi: float, sigma: float) -> float:
-    return abs(chi) * (1.0 / sigma + sigma**2)
 
 
 def fast_predicate(chi: float, sigma: float) -> float:
@@ -209,7 +206,7 @@ def run_scan(config: ScanConfig) -> list[RegimeRecord]:
     return records
 
 
-def sandwich_table(records: list[RegimeRecord], slack: float = 0.05) -> list[dict]:
+def sandwich_table(records: list[RegimeRecord]) -> list[dict]:
     """Lower/upper wave-speed bounds per record with a pass flag."""
     if not records:
         raise ValueError("no records")
@@ -224,7 +221,7 @@ def sandwich_table(records: list[RegimeRecord], slack: float = 0.05) -> list[dic
                 "lower": 2.0,
                 "c": c,
                 "upper": upper,
-                "passed": c is not None and 2.0 - slack <= c <= upper + slack,
+                "passed": c is not None and 2.0 - SANDWICH_SLACK <= c <= upper + SANDWICH_SLACK,
             }
         )
     return table

@@ -11,12 +11,12 @@ u_bar the solution of the frozen-coefficient linear problem, has the wave as
 its fixed point.  That fixed point is computed by one Newton method on (u, c)
 jointly, with the normalization as the extra equation and the nonlocal drift
 in the Jacobian, and with homotopy continuation in tau from 0 (pure FKPP
-slab) to the target.
+slab) to the model (tau = 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -30,6 +30,8 @@ from .reports import BoundsReport
 NEWTON_TOL = 1e-10  # max-norm residual that ends a tau stage
 POLISH_TOL = 1e-12  # residual a converged root with a negative interior node is refined to
 NEWTON_MAX_ITER = 40  # Newton steps allowed per tau stage
+SHAPE_SLACK = 1e-6  # slack of slab_bounds_check's sup, monotonicity and lower-bound rows
+TAUS = tuple(0.1 * k for k in range(11))  # the homotopy from the FKPP slab to the model
 
 
 def theta_max(params: ChemoParams) -> float:
@@ -44,14 +46,11 @@ class SlabConfig:
     params: ChemoParams
     spec: KernelSpec
     theta: float = 0.005
-    tau: float = 1.0
     dx: float = 0.05
 
     def __post_init__(self):
         if self.a < 20:
             raise ValueError("slab half-length a must be at least 20")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("tau must lie in [0, 1]")
         bound = theta_max(self.params)
         if not 0.0 < self.theta < bound:
             raise ValueError(f"theta must lie in (0, {bound:g}) for these parameters")
@@ -67,10 +66,9 @@ class SlabSolution:
     u: Field
     residual: float
     iterations: int
-    tau: float
     converged: bool
     config: SlabConfig
-    tau_path: list[tuple[float, float]] | None = None  # (tau, c) along continuation
+    tau_path: list[tuple[float, float]]  # (tau, c) along the homotopy
 
 
 def _refined_max(vals: np.ndarray) -> float:
@@ -120,8 +118,8 @@ def solve_linear_bvp(c: float, u_prev: Field, config: SlabConfig) -> Field:
     if (u_prev.left_ext, u_prev.right_ext) != (1.0, 0.0):
         raise ValueError("u_prev must carry extensions (1, 0)")
     grid = config.grid
-    tv = config.tau * _frozen_advection(u_prev.values, config, config.tau)
-    # rows: u_xx + c u_x - tau (v u)_x = -f, Dirichlet rows at both ends
+    tv = _frozen_advection(u_prev.values, config, 1.0)
+    # rows: u_xx + c u_x - (v u)_x = -f, Dirichlet rows at both ends
     rhs = -u_prev.values * (1.0 - u_prev.values)
     rhs[0] = 1.0
     rhs[-1] = 0.0
@@ -224,26 +222,20 @@ def _positive_interior(u: np.ndarray) -> bool:
     return bool(np.min(u[1:-1]) > 0.0)
 
 
-def fixed_point(config: SlabConfig, seed: SlabSolution | None = None) -> SlabSolution:
-    """Solve the slab problem with tau-continuation from the FKPP limit.
+def fixed_point(config: SlabConfig) -> SlabSolution:
+    """Solve the slab problem by continuation in tau along TAUS, from the FKPP
+    limit at tau = 0 to the model at tau = 1.
 
-    Continues tau upward in increments of 0.1 from 0 to ``config.tau``,
-    reusing each converged pair as the next seed.  On non-convergence the best
+    Each converged pair seeds the next stage.  On non-convergence the best
     iterate is returned flagged, not raised; so is a root that is not positive
     at every interior node (a sign-changing solution of the slab equations,
     not a wave).
     """
-    if seed is not None:
-        c, u = seed.c, seed.u.values.copy()
-    else:
-        c, u = 2.0, _seed_profile(config).values.copy()
-    taus = [0.0]
-    while taus[-1] < config.tau - 1e-12:
-        taus.append(min(config.tau, 0.1 * len(taus)))
+    c, u = 2.0, _seed_profile(config).values.copy()
     path = []
     total_iters = 0
-    residual, ok, tau = np.inf, False, 0.0
-    for tau in taus:
+    residual, ok = np.inf, False
+    for tau in TAUS:
         u, c, residual, iters, ok = _newton(u, c, tau, config)
         total_iters += iters
         path.append((tau, c))
@@ -263,46 +255,21 @@ def fixed_point(config: SlabConfig, seed: SlabSolution | None = None) -> SlabSol
         u=field,
         residual=max(residual, norm_gap),
         iterations=total_iters,
-        tau=tau,
         converged=ok,
         config=config,
         tau_path=path,
     )
 
 
-def continue_in_a(config: SlabConfig, a_list: list[float]) -> list[SlabSolution]:
-    """Solve at each half-length in ``a_list``, seeding from the previous profile.
-
-    The previous solution is resampled onto the wider grid, continued by its
-    boundary values outside the old slab.
-    """
-    if list(a_list) != sorted(a_list) or len(set(a_list)) != len(a_list):
-        raise ValueError("a_list must be strictly increasing")
-    solutions: list[SlabSolution] = []
-    seed = None
-    for a in a_list:
-        cfg = replace(config, a=a)
-        if seed is not None:
-            grid = cfg.grid
-            vals = np.interp(grid.x, seed.u.grid.x, seed.u.values, left=1.0, right=0.0)
-            vals[0], vals[-1] = 1.0, 0.0
-            seed = replace(seed, u=Field(grid, vals, left_ext=1.0, right_ext=0.0), config=cfg)
-        sol = fixed_point(cfg, seed=seed)
-        if not sol.converged:
-            raise RuntimeError(f"slab solve at a={a} did not converge")
-        solutions.append(sol)
-        seed = sol
-    return solutions
-
-
-def slab_bounds_check(sol: SlabSolution, tol: float = 1e-6) -> BoundsReport:
+def slab_bounds_check(sol: SlabSolution) -> BoundsReport:
     """Shape checks on a converged slab profile."""
     u = sol.u
     grid = u.grid
     report = BoundsReport()
 
     bound = sup_bound(sol.config.params)
-    report.add("sup-bound", "profile-upper-bound", float(np.max(u.values)), bound, slack=tol)
+    sup = float(np.max(u.values))
+    report.add("sup-bound", "profile-upper-bound", sup, bound, slack=SHAPE_SLACK)
     # u > 0 at every interior node, without slack: -min u <= -(smallest subnormal)
     report.add(
         "positivity",
@@ -318,7 +285,7 @@ def slab_bounds_check(sol: SlabSolution, tol: float = 1e-6) -> BoundsReport:
         "monotone-right-half",
         float(np.max(right_slopes, initial=-np.inf)),
         0.0,
-        slack=tol,
+        slack=SHAPE_SLACK,
     )
 
     left_min = float(np.min(u.values[: i0 + 1]))
@@ -327,7 +294,7 @@ def slab_bounds_check(sol: SlabSolution, tol: float = 1e-6) -> BoundsReport:
         "profile-above-theta-left",
         sol.config.theta - left_min,
         0.0,
-        slack=tol,
+        slack=SHAPE_SLACK,
     )
 
     edge = grid.x <= -sol.config.a + 5.0

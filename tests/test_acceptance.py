@@ -121,7 +121,7 @@ def test_criterion_04_speed_sandwich(slab_solutions):
         slab_a=40.0,
     )
     records = run_scan(config)
-    table = sandwich_table(records, slack=0.05)
+    table = sandwich_table(records)
     ok = all(row["passed"] for row in table)
     report(4, "speed sandwich bounds", ok, f"{sum(r['passed'] for r in table)}/{len(table)} cells")
     assert ok

@@ -127,23 +127,16 @@ def test_eigen_solver_failure_exits_three(monkeypatch, capsys):
     assert "inverse iteration stagnated" in capsys.readouterr().err
 
 
-def test_evolve_margin_abort_exits_three(out_dir):
-    code = run(
-        [
-            "evolve",
-            "--xmin",
-            "-10",
-            "--xmax",
-            "20",
-            "--dx",
-            "0.2",
-            "--dt",
-            "0.01",
-            "--tmax",
-            "50",
-        ]
+def test_evolve_margin_abort_exits_three(out_dir, capsys):
+    cases = (
+        # aborts late: the speed is still fitted and written
+        ["evolve", "--xmin", "-10", "--xmax", "20", "--dx", "0.2", "--dt", "0.01", "--tmax", "50"],
+        # aborts after 3 records, too few to fit a speed
+        ["evolve", "--xmin", "-50", "--xmax", "6", "--tmax", "20"],
     )
-    assert code == EXIT_NO_CONVERGENCE
+    for argv in cases:
+        assert run(argv) == EXIT_NO_CONVERGENCE
+        assert "aborted: front at" in capsys.readouterr().err
 
 
 def test_eigen_command_end_to_end(out_dir):

@@ -13,7 +13,6 @@ from chemofront.diagnostics import (
     moment_check,
     monotonicity_check,
     monotonicity_threshold,
-    poincare_check,
     poincare_ratio,
 )
 from chemofront.grids import Field, Grid1D, step_field
@@ -205,8 +204,6 @@ def test_poincare_ratio_constant_function():
 
 def test_poincare_check_is_finite_and_bounded():
     u, v, vx, params = make_slow_profile()
-    report = poincare_check(u, v, vx, 0.005, params)
-    assert report.all_passed
     c1, c2 = empirical_poincare_constants(u, v, vx, 0.005, params)
     assert 0.0 < c1 < 1e12
     assert 0.0 < c2 < 1e12
@@ -214,6 +211,6 @@ def test_poincare_check_is_finite_and_bounded():
 
 def test_poincare_constants_deterministic():
     u, v, vx, params = make_slow_profile()
-    a = empirical_poincare_constants(u, v, vx, 0.005, params, seed=7)
-    b = empirical_poincare_constants(u, v, vx, 0.005, params, seed=7)
+    a = empirical_poincare_constants(u, v, vx, 0.005, params)
+    b = empirical_poincare_constants(u, v, vx, 0.005, params)
     assert a == b

@@ -141,8 +141,6 @@ def test_kernel_spec_validation():
         KernelSpec("stretched", shape=1.0)
     with pytest.raises(ValueError):
         KernelSpec("nope")
-    with pytest.raises(ValueError):
-        KernelSpec("exp", tail_cutoff=-1.0)
 
 
 def test_chemo_params_standing_assumption():

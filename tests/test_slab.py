@@ -8,13 +8,13 @@ from chemofront.slab import (
     SlabConfig,
     _bvp_residual,
     _frozen_advection,
-    continue_in_a,
     fixed_point,
     max_right_half,
     slab_bounds_check,
     solve_linear_bvp,
     theta_max,
 )
+from chemofront.spectral import slow_regime_certificate
 
 EXP = KernelSpec("exp")
 
@@ -39,8 +39,6 @@ def test_config_validation():
     params = ChemoParams(0.0, 1.0)
     with pytest.raises(ValueError):
         SlabConfig(a=10.0, params=params, spec=EXP)
-    with pytest.raises(ValueError):
-        SlabConfig(a=40.0, params=params, spec=EXP, tau=1.5)
     with pytest.raises(ValueError):
         SlabConfig(a=40.0, params=params, spec=EXP, theta=0.02)
 
@@ -91,7 +89,7 @@ def test_fkpp_slab_speed_near_two():
     sol = fixed_point(config)
     assert sol.converged
     assert sol.residual < 1e-9
-    assert sol.tau == 1.0
+    assert sol.tau_path[-1][0] == 1.0
     assert 1.9 < sol.c < 2.1
     assert max_right_half(sol.u) == pytest.approx(config.theta, abs=1e-9)
 
@@ -122,17 +120,6 @@ def test_attractive_coupling_changes_speed_continuously():
     c0 = fixed_point(base).c
     c1 = fixed_point(perturbed).c
     assert abs(c1 - c0) < 0.05
-
-
-def test_continue_in_a():
-    config = SlabConfig(a=40.0, params=ChemoParams(-0.05, 1.0), spec=EXP)
-    sols = continue_in_a(config, [40.0, 60.0])
-    assert [s.config.a for s in sols] == [40.0, 60.0]
-    assert all(s.converged for s in sols)
-    # the finite-slab speed converges as a grows
-    assert abs(sols[1].c - sols[0].c) < 0.02
-    with pytest.raises(ValueError):
-        continue_in_a(config, [60.0, 40.0])
 
 
 def test_slab_bounds_check_passes_on_solution():
@@ -167,8 +154,9 @@ def test_speeds_match_reference(chi, sigma):
     u = sol.u.values
     i0 = config.grid.index_of(0.0)
     pin = i0 + int(np.argmax(u[i0:]))
-    v = _frozen_advection(u, config, sol.tau)
-    residual = _bvp_residual(u, sol.c, v, sol.tau, config, pin)
+    assert sol.tau_path[-1][0] == 1.0
+    v = _frozen_advection(u, config, 1.0)
+    residual = _bvp_residual(u, sol.c, v, 1.0, config, pin)
     assert np.max(np.abs(residual)) < 1e-8
     assert slab_bounds_check(sol)["positivity"].passed
 
@@ -187,7 +175,7 @@ def test_fast_regime_wave_converges():
     config = SlabConfig(a=60.0, params=ChemoParams(-20.0, 200.0), spec=EXP)
     sol = fixed_point(config)
     assert sol.converged
-    assert sol.tau == 1.0
+    assert sol.tau_path[-1][0] == 1.0
     assert sol.c == pytest.approx(11.53654557283846, abs=1e-8)
     # its tail falls below the first Newton solve's error; refined, it is positive
     assert np.min(sol.u.values[1:-1]) > 0.0
@@ -199,7 +187,7 @@ def test_wide_weak_wave_follows_the_tau_homotopy():
     config = SlabConfig(a=60.0, params=ChemoParams(-0.05, 200.0), spec=EXP)
     sol = fixed_point(config)
     assert sol.converged
-    assert sol.tau == 1.0
+    assert sol.tau_path[-1][0] == 1.0
     assert [tau for tau, _ in sol.tau_path] == pytest.approx([0.1 * k for k in range(11)])
     assert sol.c == pytest.approx(2.0182352163168034, abs=1e-8)
 
@@ -213,3 +201,7 @@ def test_sign_changing_root_is_not_converged(chi):
     assert np.min(sol.u.values[1:-1]) < 0.0
     assert not sol.converged
     assert [c.name for c in slab_bounds_check(sol).failures()] == ["positivity"]
+    cert = slow_regime_certificate(sol)
+    assert not cert.applicable
+    assert cert.reason == "slab solution not converged"
+    assert not cert.passed

@@ -254,9 +254,9 @@ def test_certificate_refuses_out_of_hypothesis():
         u=_seed_profile(config),
         residual=0.0,
         iterations=0,
-        tau=1.0,
         converged=True,
         config=config,
+        tau_path=[],
     )
     report = slow_regime_certificate(sol)
     assert not report.applicable
