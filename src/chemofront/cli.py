@@ -174,8 +174,9 @@ def _cmd_evolve(args) -> int:
     except ValueError as exc:
         if traj.abort_reason is None:
             raise
-        print(f"aborted: {traj.abort_reason} (no speed: {exc})", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        # aborted before the fit window held enough records: no speed, but
+        # the profile and the reason are still written
+        est, no_speed = None, f" (no speed: {exc})"
     u = traj.final()
     v = advection(u, spec, params)
     vx = advection_gradient(u, spec, params)
@@ -188,13 +189,17 @@ def _cmd_evolve(args) -> int:
         {
             "command": "evolve",
             "config": vars(args),
-            "c": est.c,
-            "stderr": est.stderr,
-            "window": est.window,
+            "c": None if est is None else est.c,
+            "stderr": None if est is None else est.stderr,
+            "window": None if est is None else est.window,
             "clipped_mass": traj.clipped_mass,
             "abort_reason": traj.abort_reason,
         },
     )
+    if est is None:
+        print(f"evolve: no speed -> {path}")
+        print(f"aborted: {traj.abort_reason}{no_speed}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     print(f"evolve: c = {est.c:.6f} (stderr {est.stderr:.2e}) -> {path}")
     if traj.abort_reason is not None:
         print(f"aborted: {traj.abort_reason}", file=sys.stderr)

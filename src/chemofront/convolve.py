@@ -3,12 +3,15 @@
 The convolution uses exact per-cell integrals of K_sigma (differences of the
 antiderivative Kbar) against nodal samples of the extended profile, so the jump
 of K at the origin is never sampled and constants are annihilated to rounding.
-Only the grid values are transformed: the constant extensions contribute
-through partial sums of the weights inside the truncation window and in closed
-form through Kbar beyond it.  Everything that depends only on the kernel
-and the grid is built once per (kernel, sigma, dx, n) in a cached DriftOperator,
-which convolves by FFT; :func:`direct_drift` sums the same convolutions
-directly and serves the tests as their oracle.
+Everything that depends only on the kernel and the grid is built once per
+(kernel, sigma, dx, n) in a cached operator.  For the exponential
+(Keller-Segel) kernel the cell weights are geometric, and
+:class:`ExpDriftOperator` sums them over the whole line by one tridiagonal
+solve.  The other families use :class:`DriftOperator`, which transforms only
+the grid values by FFT: the constant extensions contribute through partial
+sums of the weights inside the truncation window and in closed form through
+Kbar beyond it.  :func:`direct_drift` sums the truncated convolutions directly
+and serves the tests as the oracle of both.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
+from scipy.linalg.lapack import dpttrs
 
 from .grids import Field
 from .kernels import ChemoParams, KernelSpec, kbar, kernel_scaled
@@ -142,30 +146,95 @@ class DriftOperator:
         out[n - half :] += right_ext * pads[1]
         return out
 
-    def _advection_from(self, interior, left_ext, right_ext, chi) -> np.ndarray:
+    def advection(self, values: np.ndarray, left_ext: float, right_ext: float, chi: float) -> np.ndarray:
+        """Nodal values of v = chi * (K_sigma convolved with the extended profile)."""
+        interior = self._convolve(values, left_ext, right_ext, self.weights_hat, self.weights_pads)
         interior += (right_ext - left_ext) * self.kb_tail  # a fresh array: no copy
         interior *= chi
         return interior
 
-    def _gradient_from(self, folded, values, left_ext, right_ext, chi) -> np.ndarray:
-        folded = folded + self.mass0 * values
-        folded += self.m_tail * (left_ext + right_ext)
-        return -(chi / self.sigma) * values + chi * folded
-
-    def advection(self, values: np.ndarray, left_ext: float, right_ext: float, chi: float) -> np.ndarray:
-        """Nodal values of v = chi * (K_sigma convolved with the extended profile)."""
-        interior = self._convolve(values, left_ext, right_ext, self.weights_hat, self.weights_pads)
-        return self._advection_from(interior, left_ext, right_ext, chi)
-
     def gradient(self, values: np.ndarray, left_ext: float, right_ext: float, chi: float) -> np.ndarray:
         """Nodal values of v_x (see :func:`advection_gradient`)."""
         folded = self._convolve(values, left_ext, right_ext, self.sym_hat, self.sym_pads)
-        return self._gradient_from(folded, values, left_ext, right_ext, chi)
+        folded += self.mass0 * values
+        folded += self.m_tail * (left_ext + right_ext)
+        return -(chi / self.sigma) * values + chi * folded
+
+
+class ExpDriftOperator:
+    """Convolution against the exponential kernel and its derivative over the
+    whole line, one tridiagonal solve per call.
+
+    With h = dx/sigma and r = e^-h the exp cell weights are
+    w_j = -sign(j) sinh(h/2) r^|j| and the symmetric masses
+    m_j = sinh(h/2) r^|j| / sigma (j != 0), m_0 = (1 - e^(-h/2)) / (2 sigma).
+    With S_i = sum_k r^|i-k| u_ext(k) over all integers k (pads included)
+    and L_i, R_i its parts over k < i and k > i,
+    v = chi sinh(h/2) (R - L) and v_x = (chi/sigma) (sinh(h/2) S - cosh(h/2) u).
+
+    On the whole line T = tridiag(-r, 1 + r^2, -r) maps S to (1 - r^2) u_ext.
+    On the n nodes it is closed by M, equal to T but with 1 in both corners,
+    whose LDL^T factors are known in closed form: d = (1, ..., 1, 1 - r^2),
+    e = -r.  A call is one LAPACK pttrs and no factorization.
+
+    * advection: T (R - L) = r (u_(i+1) - u_(i-1)), and beyond the grid those
+      differences vanish, so eliminating the tails gives M (R - L) = r g with
+      g_i = u_(i+1) - u_(i-1), g_0 = u_1 + r u_0 - (1 + r) left and
+      g_(n-1) = (1 + r) right - u_(n-2) - r u_(n-1).  Constants give g = 0.
+      Differencing S instead would subtract values of size 1/h^2 and lose
+      about log10(1/h) digits, enough at sigma = 200 to hold the slab Newton
+      near its tolerance.
+    * gradient: M y = u + r/(1 - r) (left e_0 + right e_(n-1)) gives
+      S = (1 - r^2) y; the pads' geometric sums enter through the corners.
+
+    Nothing is truncated: the truncated oracle differs by its truncation,
+    Kbar(tail_cutoff) = 1e-14 relative, plus rounding that grows as h
+    shrinks (about 1e-13 relative at h = 2.5e-4).
+    """
+
+    def __init__(self, sigma: float, dx: float, n: int):
+        _check_resolution(dx, sigma)
+        h = dx / sigma
+        self.r = math.exp(-h)
+        self.d = np.ones(n)
+        self.d[-1] = -math.expm1(-2.0 * h)  # 1 - r^2
+        self.e = np.full(n - 1, -self.r)
+        for table in (self.d, self.e):
+            table.setflags(write=False)  # shared by every caller of the cache
+        self.pad = self.r / -math.expm1(-h)  # r / (1 - r)
+        self.advection_scale = math.sinh(0.5 * h) * self.r
+        self.sum_scale = math.sinh(0.5 * h) * self.d[-1] / sigma
+        self.node_scale = -math.cosh(0.5 * h) / sigma
+
+    def advection(self, values: np.ndarray, left_ext: float, right_ext: float, chi: float) -> np.ndarray:
+        """Nodal values of v = chi * (K_sigma convolved with the extended profile)."""
+        r = self.r
+        g = np.empty(values.size)
+        np.subtract(values[2:], values[:-2], out=g[1:-1])
+        g[0] = values[1] + r * values[0] - (1.0 + r) * left_ext
+        g[-1] = (1.0 + r) * right_ext - values[-2] - r * values[-1]
+        diff, _ = dpttrs(self.d, self.e, g, overwrite_b=1)  # (R - L) / r
+        diff *= chi * self.advection_scale
+        return diff
+
+    def gradient(self, values: np.ndarray, left_ext: float, right_ext: float, chi: float) -> np.ndarray:
+        """Nodal values of v_x (see :func:`advection_gradient`)."""
+        b = values.copy()
+        b[0] += self.pad * left_ext
+        b[-1] += self.pad * right_ext
+        y, _ = dpttrs(self.d, self.e, b, overwrite_b=1)
+        y *= chi * self.sum_scale
+        y += (chi * self.node_scale) * values
+        return y
 
 
 @lru_cache(maxsize=64)
-def drift_operator(spec: KernelSpec, sigma: float, dx: float, n: int) -> DriftOperator:
+def drift_operator(
+    spec: KernelSpec, sigma: float, dx: float, n: int
+) -> DriftOperator | ExpDriftOperator:
     """The convolution operator of one (kernel, sigma) on one grid, shared by every call."""
+    if spec.family == "exp":
+        return ExpDriftOperator(sigma, dx, n)
     return DriftOperator(spec, sigma, dx, n)
 
 
@@ -189,14 +258,22 @@ def advection_gradient(u: Field, spec: KernelSpec, params: ChemoParams) -> Field
 
 def direct_drift(u: Field, spec: KernelSpec, params: ChemoParams) -> tuple[Field, Field]:
     """v and v_x with both convolutions summed directly (np.convolve) over the
-    explicitly padded profile: the tests' oracle for the FFT path and its
-    closed-form pads, called by no solver."""
-    op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
+    profile padded to the truncation window: the tests' oracle for both drift
+    operators, called by no solver and built from none of their tables."""
+    sigma, dx, n = params.sigma, u.grid.dx, u.grid.n
+    _check_resolution(dx, sigma)
+    half = _window(spec, sigma, dx, n)
+    weights = _cell_weights(spec, sigma, dx, half)
+    masses = _cell_masses(spec, sigma, dx, half)
+    sym = np.concatenate([masses[:0:-1], masses])  # m_{|j|}, j = -J..J
+    kb_tail = float(kbar(spec, (half + 0.5) * dx / sigma))
+    m_tail = -float(kernel_scaled(spec, sigma, (half + 0.5) * dx))
     left, right, chi = u.left_ext, u.right_ext, params.chi
-    pad = np.ones(op.half)
+    pad = np.ones(half)
     ext = np.concatenate([left * pad, u.values, right * pad])
-    v = op._advection_from(np.convolve(ext, op.weights, mode="valid"), left, right, chi)
-    vx = op._gradient_from(np.convolve(ext, op.sym, mode="valid"), u.values, left, right, chi)
+    v = chi * (np.convolve(ext, weights, mode="valid") + (right - left) * kb_tail)
+    folded = np.convolve(ext, sym, mode="valid") + masses[0] * u.values + m_tail * (left + right)
+    vx = -(chi / sigma) * u.values + chi * folded
     return Field(u.grid, v), Field(u.grid, vx)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .convolve import advection
 from .evolver import sup_bound
@@ -191,6 +190,8 @@ def _newton(
             return np.append(r1 - dc * r2, dc)
 
         if coupled:
+            # loaded here, not with the module: no other solve uses scipy.sparse
+            from scipy.sparse.linalg import LinearOperator, gmres
 
             def preconditioned_jacobian(y: np.ndarray) -> np.ndarray:
                 du = bordered_solve(y)[:-1]

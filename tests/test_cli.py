@@ -137,6 +137,13 @@ def test_evolve_margin_abort_exits_three(out_dir, capsys):
     for argv in cases:
         assert run(argv) == EXIT_NO_CONVERGENCE
         assert "aborted: front at" in capsys.readouterr().err
+        # the sidecar records the abort either way, with c = null without a fit
+        meta = json.loads((out_dir / "evolve.csv.meta.json").read_text())
+        assert meta["abort_reason"].startswith("front at")
+        assert meta["config"]["xmax"] == float(argv[4])
+        assert (meta["c"] is None) == (argv is cases[1])
+        header = (out_dir / "evolve.csv").read_text().splitlines()[0]
+        assert header == "x,u,v,v_x"
 
 
 def test_eigen_command_end_to_end(out_dir):
@@ -273,9 +280,13 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
 
 def test_cli_import_skips_unused_scipy_modules():
     # scipy.signal alone used to take about half of the CLI's start-up time; the
-    # FFT comes from numpy, and quadrature, root finding and special functions
-    # load only when a stretched kernel, kbar_inverse or validate_kernel asks
-    unused = ["scipy.signal", "scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.special"]
+    # FFT comes from numpy, quadrature, root finding and special functions
+    # load only when a stretched kernel, kbar_inverse or validate_kernel asks,
+    # and scipy.sparse only when a coupled slab Newton step runs GMRES
+    unused = [
+        "scipy.signal", "scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.special",
+        "scipy.sparse",
+    ]
     src = str(Path(chemofront.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from chemofront.convolve import (
+    DriftOperator,
     KernelResolutionError,
+    _window,
     advection,
     advection_bounds_check,
     advection_gradient,
@@ -33,11 +35,12 @@ def test_step_profile_matches_closed_form():
 
 
 def test_fft_and_direct_agree():
-    # the FFT path transforms the grid values alone and adds the constant pads
-    # from prefix sums; the oracle convolves the explicitly padded profile
+    # the FFT path (tophat here) transforms the grid values alone and adds the
+    # constant pads from prefix sums, the exp path sums the whole line by one
+    # tridiagonal solve; the oracle convolves the profile padded to its window
     rng = np.random.default_rng(7)
     cases = [
-        # (grid, spec, params, expected window half-width J)
+        # (grid, spec, params, expected half-width J of the oracle's window)
         (Grid1D(-10.0, 10.0, 512), EXP, ChemoParams(-0.5, 1.3), None),
         # window capped at J = n-1: the kernel covers the whole grid
         (Grid1D(-10.0, 10.0, 300), EXP, ChemoParams(-0.5, 5.0), 299),
@@ -52,10 +55,14 @@ def test_fft_and_direct_agree():
     ]
     extension_pairs = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7)]
     for grid, spec, params, half in cases:
-        op = drift_operator(spec, params.sigma, grid.dx, grid.n)
+        window = _window(spec, params.sigma, grid.dx, grid.n)
         if half is not None:
-            assert op.half == half
-        assert op.size >= grid.n + op.half
+            assert window == half
+        op = drift_operator(spec, params.sigma, grid.dx, grid.n)
+        assert isinstance(op, DriftOperator) == (spec.family != "exp")
+        if spec.family != "exp":
+            assert op.half == window
+            assert op.size >= grid.n + op.half
         for exts in extension_pairs + [tuple(rng.standard_normal(2)) for _ in range(3)]:
             u = random_field(grid, rng, exts=exts)
             for drift, oracle in zip((advection, advection_gradient), direct_drift(u, spec, params)):

@@ -17,8 +17,10 @@ from chemofront.evolver import (
 )
 from chemofront.grids import Field, Grid1D, constant_field, smoothed_step_field
 from chemofront.kernels import ChemoParams, KernelSpec
+from chemofront.slab import SlabConfig, fixed_point
 
 EXP = KernelSpec("exp")
+TOPHAT = KernelSpec("tophat")
 NEUTRAL = ChemoParams(0.0, 1.0)
 
 
@@ -247,17 +249,20 @@ def test_coupled_evolve_builds_one_operator_and_one_transform_per_step(monkeypat
     monkeypatch.setattr(convolve, "rfft", counting_rfft)
     monkeypatch.setattr(convolve, "irfft", counting_irfft)
     monkeypatch.setattr(evolver, "drift_operator", fetch_operator)
-    # a grid no other test uses, wider than the first active end
+    # a grid no other test uses, wider than the first active end; the exp
+    # kernel has no FFT path, so the transforms are counted on a tophat run
     grid = Grid1D.from_spacing(-20.0, 151.3, 0.1)
-    config = make_config(grid, params=ChemoParams(-0.05, 1.0), t_max=0.05, snapshot_every=0.01)
+    config = make_config(
+        grid, params=ChemoParams(-0.05, 1.0), spec=TOPHAT, t_max=0.05, snapshot_every=0.01
+    )
     n_steps = round(config.t_max / config.dt)
     misses = convolve.drift_operator.cache_info().misses
     evolve(config)
     assert len(sizes) >= 2 and sizes == sorted(set(sizes))  # one operator per active size
     assert convolve.drift_operator.cache_info().misses == misses + len(sizes)
-    lengths = {convolve.drift_operator(EXP, 1.0, grid.dx, m).size for m in sizes}
+    lengths = {convolve.drift_operator(TOPHAT, 1.0, grid.dx, m).size for m in sizes}
     for m in sizes:  # the transform covers the active grid and one window
-        op = convolve.drift_operator(EXP, 1.0, grid.dx, m)
+        op = convolve.drift_operator(TOPHAT, 1.0, grid.dx, m)
         assert op.size == next_fast_len(m + op.half, real=True)
     assert set(calls["rfft"]) == lengths
     # the profile once per step, the two kernel spectra once per operator
@@ -269,6 +274,21 @@ def test_coupled_evolve_builds_one_operator_and_one_transform_per_step(monkeypat
     assert sizes == 2 * first
     assert convolve.drift_operator.cache_info().misses == misses + len(first)
     assert len(calls["rfft"]) == n_steps
+
+
+def test_exp_kernel_runs_without_fft(monkeypatch):
+    # the exponential kernel's drift is one tridiagonal solve, in the evolver
+    # and in the slab's Newton (its residual and its Jacobian's GMRES products)
+    def no_fft(*args, **kwargs):
+        raise AssertionError("FFT called for the exp kernel")
+
+    monkeypatch.setattr(convolve, "rfft", no_fft)
+    monkeypatch.setattr(convolve, "irfft", no_fft)
+    grid = Grid1D.from_spacing(-20.0, 148.7, 0.1)  # a grid no other test uses
+    traj = evolve(make_config(grid, params=ChemoParams(-0.05, 1.0), t_max=0.5))
+    assert traj.abort_reason is None and np.all(np.isfinite(traj.final().values))
+    sol = fixed_point(SlabConfig(a=21.3, params=ChemoParams(-0.05, 1.0), spec=EXP))
+    assert sol.converged
 
 
 def trimmed_and_whole_runs(monkeypatch, config):
