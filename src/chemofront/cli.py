@@ -252,7 +252,8 @@ def _cmd_eigen(args) -> int:
             "command": "eigen",
             "config": vars(args),
             "lambda": pair.lam,
-            "rayleigh_residual": pair.rayleigh_residual,
+            "residual": pair.residual,
+            "iterations": pair.iterations,
             "c_test": args.ctest,
             "c_slab": sol.c,
         },

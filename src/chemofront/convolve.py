@@ -10,8 +10,7 @@ Everything that depends only on the kernel and the grid is built once per
 solve.  The other families use :class:`DriftOperator`, which transforms only
 the grid values by FFT: the constant extensions contribute through partial
 sums of the weights inside the truncation window and in closed form through
-Kbar beyond it.  :func:`direct_drift` sums the truncated convolutions directly
-and serves the tests as the oracle of both.
+Kbar beyond it.
 """
 
 from __future__ import annotations
@@ -187,9 +186,9 @@ class ExpDriftOperator:
     * gradient: M y = u + r/(1 - r) (left e_0 + right e_(n-1)) gives
       S = (1 - r^2) y; the pads' geometric sums enter through the corners.
 
-    Nothing is truncated: the truncated oracle differs by its truncation,
-    Kbar(tail_cutoff) = 1e-14 relative, plus rounding that grows as h
-    shrinks (about 1e-13 relative at h = 2.5e-4).
+    Nothing is truncated: a direct sum over the window differs by its
+    truncation, Kbar(tail_cutoff) = 1e-14 relative, plus rounding that grows
+    as h shrinks (about 1e-13 relative at h = 2.5e-4).
     """
 
     def __init__(self, sigma: float, dx: float, n: int):
@@ -254,27 +253,6 @@ def advection_gradient(u: Field, spec: KernelSpec, params: ChemoParams) -> Field
     op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
     vx = op.gradient(u.values, u.left_ext, u.right_ext, params.chi)
     return Field(u.grid, vx, left_ext=0.0, right_ext=0.0)
-
-
-def direct_drift(u: Field, spec: KernelSpec, params: ChemoParams) -> tuple[Field, Field]:
-    """v and v_x with both convolutions summed directly (np.convolve) over the
-    profile padded to the truncation window: the tests' oracle for both drift
-    operators, called by no solver and built from none of their tables."""
-    sigma, dx, n = params.sigma, u.grid.dx, u.grid.n
-    _check_resolution(dx, sigma)
-    half = _window(spec, sigma, dx, n)
-    weights = _cell_weights(spec, sigma, dx, half)
-    masses = _cell_masses(spec, sigma, dx, half)
-    sym = np.concatenate([masses[:0:-1], masses])  # m_{|j|}, j = -J..J
-    kb_tail = float(kbar(spec, (half + 0.5) * dx / sigma))
-    m_tail = -float(kernel_scaled(spec, sigma, (half + 0.5) * dx))
-    left, right, chi = u.left_ext, u.right_ext, params.chi
-    pad = np.ones(half)
-    ext = np.concatenate([left * pad, u.values, right * pad])
-    v = chi * (np.convolve(ext, weights, mode="valid") + (right - left) * kb_tail)
-    folded = np.convolve(ext, sym, mode="valid") + masses[0] * u.values + m_tail * (left + right)
-    vx = -(chi / sigma) * u.values + chi * folded
-    return Field(u.grid, v), Field(u.grid, vx)
 
 
 def advection_bounds_check(u: Field, v: Field, vx: Field, params: ChemoParams) -> BoundsReport:

@@ -7,11 +7,14 @@ the pair (c, u) solves
 
 where u~ is the profile extended by 1 on the left and 0 on the right.  The
 speed-and-profile map S_tau(c, u) = (c + theta - max_{x>=0} u, u_bar), with
-u_bar the solution of the frozen-coefficient linear problem, has the wave as
-its fixed point.  That fixed point is computed by one Newton method on (u, c)
-jointly, with the normalization as the extra equation and the nonlocal drift
-in the Jacobian, and with homotopy continuation in tau from 0 (pure FKPP
-slab) to the model (tau = 1).
+u_bar the solution of the frozen-coefficient linear problem
+
+    u_bar_xx + c u_bar_x - tau (v u_bar)_x = -u(1-u),   u_bar(-a)=1, u_bar(a)=0,
+
+has the wave as its fixed point.  That fixed point is computed by one Newton
+method on (u, c) jointly, with the normalization as the extra equation and the
+nonlocal drift in the Jacobian, and with homotopy continuation in tau from 0
+(pure FKPP slab) to the model (tau = 1).
 """
 
 from __future__ import annotations
@@ -98,35 +101,18 @@ def _frozen_advection(u_vals: np.ndarray, config: SlabConfig, tau: float) -> np.
 
 def _bands(c: float, tv: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sub-, main and super-diagonal of u_xx + c u_x - (tv u)_x with identity
-    rows at both ends (centered differences)."""
+    rows at both ends.
+
+    The advective terms use centered differences too: the cell Peclet number
+    is small in every supported regime, and first-order upwinding would bias
+    the speed by c*dx/2.
+    """
     lower = 1.0 / dx**2 - c / (2.0 * dx) + tv[:-1] / (2.0 * dx)
     main = np.full(tv.size, -2.0 / dx**2)
     upper = 1.0 / dx**2 + c / (2.0 * dx) - tv[1:] / (2.0 * dx)
     lower[-1] = upper[0] = 0.0
     main[0] = main[-1] = 1.0
     return lower, main, upper
-
-
-def solve_linear_bvp(c: float, u_prev: Field, config: SlabConfig) -> Field:
-    """One linear slab solve with frozen advection v = chi K_sigma * u_prev.
-
-    Centered second differences throughout; the advective terms use centered
-    first differences (the cell Peclet number is small in every supported
-    regime, and first-order upwinding would bias the speed by c*dx/2).
-    """
-    if (u_prev.left_ext, u_prev.right_ext) != (1.0, 0.0):
-        raise ValueError("u_prev must carry extensions (1, 0)")
-    grid = config.grid
-    tv = _frozen_advection(u_prev.values, config, 1.0)
-    # rows: u_xx + c u_x - (v u)_x = -f, Dirichlet rows at both ends
-    rhs = -u_prev.values * (1.0 - u_prev.values)
-    rhs[0] = 1.0
-    rhs[-1] = 0.0
-    sol = tridiagonal_solver(*_bands(c, tv, grid.dx))(rhs)
-    if not np.all(np.isfinite(sol)):
-        raise np.linalg.LinAlgError("singular or ill-conditioned slab system")
-    sol[0], sol[-1] = 1.0, 0.0  # pivoting can smear the identity boundary rows
-    return Field(grid, sol, left_ext=1.0, right_ext=0.0)
 
 
 def _seed_profile(config: SlabConfig) -> Field:

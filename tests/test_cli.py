@@ -165,6 +165,8 @@ def test_eigen_command_end_to_end(out_dir):
     assert code == EXIT_OK
     meta = json.loads((out_dir / "eig.csv.meta.json").read_text())
     assert meta["lambda"] >= -1e-8
+    assert meta["residual"] < 1e-10  # the inverse iteration's own stopping residual
+    assert meta["iterations"] >= 1
     header = (out_dir / "eig.csv").read_text().splitlines()[0]
     assert header == "x,V,phi"
 

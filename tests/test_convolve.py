@@ -8,12 +8,12 @@ from chemofront.convolve import (
     advection,
     advection_bounds_check,
     advection_gradient,
-    direct_drift,
     drift_operator,
     next_fast_len,
 )
 from chemofront.grids import Field, Grid1D, constant_field, step_field
 from chemofront.kernels import ChemoParams, KernelSpec, kbar
+from oracles import direct_drift
 
 EXP = KernelSpec("exp")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chemofront.grids import Field
+from chemofront.grids import Field, tridiagonal_solver
 from chemofront.kernels import ChemoParams, KernelSpec
 from chemofront import slab
 from chemofront.slab import (
@@ -11,7 +11,6 @@ from chemofront.slab import (
     fixed_point,
     max_right_half,
     slab_bounds_check,
-    solve_linear_bvp,
     theta_max,
 )
 from chemofront.spectral import slow_regime_certificate
@@ -44,35 +43,19 @@ def test_config_validation():
 
 
 def test_linear_bvp_manufactured_solution():
-    # with u_prev = 0 the problem is u_xx + c u_x = 0, u(-a)=1, u(a)=0:
+    # the slab stencil with v = 0 solves u_xx + c u_x = 0, u(-a)=1, u(a)=0:
     # exact solution (e^{-c x} - e^{-c a}) / (e^{c a} - e^{-c a})
     config = SlabConfig(a=20.0, params=ChemoParams(0.0, 1.0), spec=EXP, dx=0.01)
     grid = config.grid
-    zero = Field(grid, np.zeros(grid.n), left_ext=1.0, right_ext=0.0)
     c = 0.5
-    sol = solve_linear_bvp(c, zero, config)
+    rhs = np.zeros(grid.n)
+    rhs[0] = 1.0  # Dirichlet rows
+    sol = tridiagonal_solver(*slab._bands(c, np.zeros(grid.n), grid.dx))(rhs)
     x = grid.x
     exact = (np.exp(-c * x) - np.exp(-c * config.a)) / (
         np.exp(c * config.a) - np.exp(-c * config.a)
     )
-    assert np.max(np.abs(sol.values - exact)) < 1e-6
-
-
-def test_linear_bvp_boundary_values_exact():
-    config = SlabConfig(a=25.0, params=ChemoParams(-0.1, 1.0), spec=EXP)
-    grid = config.grid
-    vals = 1.0 / (1.0 + np.exp(grid.x))
-    u_prev = Field(grid, vals, left_ext=1.0, right_ext=0.0)
-    sol = solve_linear_bvp(2.0, u_prev, config)
-    assert sol.values[0] == 1.0
-    assert sol.values[-1] == 0.0
-
-
-def test_linear_bvp_rejects_wrong_extensions():
-    config = SlabConfig(a=25.0, params=ChemoParams(0.0, 1.0), spec=EXP)
-    grid = config.grid
-    with pytest.raises(ValueError):
-        solve_linear_bvp(2.0, Field(grid, np.zeros(grid.n)), config)
+    assert np.max(np.abs(sol - exact)) < 1e-6
 
 
 def test_max_right_half_refinement():
@@ -92,15 +75,6 @@ def test_fkpp_slab_speed_near_two():
     assert sol.tau_path[-1][0] == 1.0
     assert 1.9 < sol.c < 2.1
     assert max_right_half(sol.u) == pytest.approx(config.theta, abs=1e-9)
-
-
-def test_fixed_point_consistency():
-    # the converged pair must reproduce itself under one frozen linear solve
-    config = SlabConfig(a=40.0, params=ChemoParams(-0.05, 1.0), spec=EXP)
-    sol = fixed_point(config)
-    assert sol.converged
-    re_solved = solve_linear_bvp(sol.c, sol.u, config)
-    assert np.max(np.abs(re_solved.values - sol.u.values)) < 1e-6
 
 
 def test_homotopy_path_is_recorded():
