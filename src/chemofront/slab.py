@@ -13,8 +13,11 @@ u_bar the solution of the frozen-coefficient linear problem
 
 has the wave as its fixed point.  That fixed point is computed by one Newton
 method on (u, c) jointly, with the normalization as the extra equation and the
-nonlocal drift in the Jacobian, and with homotopy continuation in tau from 0
-(pure FKPP slab) to the model (tau = 1).
+nonlocal drift in the Jacobian.  The pure FKPP slab (tau = 0) is solved first;
+from its wave one trial solve jumps straight to the model (tau = 1).  The trial
+is rejected unless its first full Newton step at least halves the max-norm
+residual (Deuflhard's monotonicity test, theta <= 1/2), and a rejected trial
+falls back to homotopy continuation along TAUS from the same tau = 0 wave.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ NEWTON_TOL = 1e-10  # max-norm residual that ends a tau stage
 POLISH_TOL = 1e-12  # residual a converged root with a negative interior node is refined to
 NEWTON_MAX_ITER = 40  # Newton steps allowed per tau stage
 SHAPE_SLACK = 1e-6  # slack of slab_bounds_check's sup, monotonicity and lower-bound rows
-TAUS = tuple(0.1 * k for k in range(11))  # the homotopy from the FKPP slab to the model
+TAUS = tuple(0.1 * k for k in range(11))  # the fallback homotopy from the FKPP slab to the model
 
 
 def theta_max(params: ChemoParams) -> float:
@@ -138,9 +141,17 @@ def _bvp_residual(u: np.ndarray, c: float, v: np.ndarray, tau: float, config: Sl
 
 
 def _newton(
-    u: np.ndarray, c: float, tau: float, config: SlabConfig, tol: float = NEWTON_TOL
+    u: np.ndarray,
+    c: float,
+    tau: float,
+    config: SlabConfig,
+    tol: float = NEWTON_TOL,
+    trial: bool = False,
 ) -> tuple[np.ndarray, float, float, int, bool]:
     """Newton on the slab equations augmented with u[pin] = theta, at one tau.
+
+    A `trial` solve gives up, unconverged, after one step unless that first
+    full step at least halves the max-norm residual.
 
     The normalization is pinned at the running argmax of the right half;
     pinning a profile value removes the near-singular translation mode that
@@ -195,13 +206,15 @@ def _newton(
         du, dc = step_vec[:-1], step_vec[-1]
         step = 1.0
         while True:
-            u_trial, c_trial = u + step * du, c + step * dc
-            v_trial = _frozen_advection(u_trial, config, tau)
-            trial = np.max(np.abs(_bvp_residual(u_trial, c_trial, v_trial, tau, config, pin)))
-            if trial < nrm or step <= 1e-8:
+            u_next, c_next = u + step * du, c + step * dc
+            v_next = _frozen_advection(u_next, config, tau)
+            res_next = np.max(np.abs(_bvp_residual(u_next, c_next, v_next, tau, config, pin)))
+            if trial and it == 1 and res_next > 0.5 * nrm:
+                return u, c, nrm, it, False
+            if res_next < nrm or step <= 1e-8:
                 break
             step *= 0.5
-        u, c, v = u_trial, c_trial, v_trial
+        u, c, v = u_next, c_next, v_next
     return u, c, float(np.max(np.abs(_bvp_residual(u, c, v, tau, config, pin)))), it, False
 
 
@@ -210,24 +223,32 @@ def _positive_interior(u: np.ndarray) -> bool:
 
 
 def fixed_point(config: SlabConfig) -> SlabSolution:
-    """Solve the slab problem by continuation in tau along TAUS, from the FKPP
-    limit at tau = 0 to the model at tau = 1.
+    """Solve the slab problem at tau = 0 (the FKPP limit), then by one trial
+    Newton solve at tau = 1 (the model) from that wave.
 
-    Each converged pair seeds the next stage.  On non-convergence the best
-    iterate is returned flagged, not raised; so is a root that is not positive
-    at every interior node (a sign-changing solution of the slab equations,
-    not a wave).
+    The trial is rejected unless its first full step at least halves the
+    residual; a rejected or unconverged trial falls back to continuation along
+    TAUS from the same tau = 0 wave, each converged pair seeding the next
+    stage.  On non-convergence the best iterate is returned flagged, not
+    raised; so is a root that is not positive at every interior node (a
+    sign-changing solution of the slab equations, not a wave).
     """
-    c, u = 2.0, _seed_profile(config).values.copy()
-    path = []
-    total_iters = 0
-    residual, ok = np.inf, False
-    for tau in TAUS:
-        u, c, residual, iters, ok = _newton(u, c, tau, config)
+    u, c, residual, total_iters, ok = _newton(_seed_profile(config).values.copy(), 2.0, 0.0, config)
+    path = [(0.0, c)]
+    if ok:
+        u_jump, c_jump, residual, iters, ok = _newton(u, c, 1.0, config, trial=True)
         total_iters += iters
-        path.append((tau, c))
-        if not ok:
-            break
+        if ok:
+            u, c = u_jump, c_jump
+            path.append((1.0, c))
+        else:
+            for tau in TAUS[1:]:
+                u, c, residual, iters, ok = _newton(u, c, tau, config)
+                total_iters += iters
+                path.append((tau, c))
+                if not ok:
+                    break
+    tau = path[-1][0]
     if ok and not _positive_interior(u):
         # where the profile has decayed below the inexact Newton step's error,
         # a root can dip below zero: refine it before judging its sign

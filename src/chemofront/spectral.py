@@ -93,16 +93,19 @@ def _periodic_solver(main: np.ndarray, off: float):
     return periodic_solve
 
 
-def principal_eigenpair(V: Potential) -> EigenPair:
+def principal_eigenpair(V: Potential, start: EigenPair | None = None) -> EigenPair:
     """Ground state of -d_xx - V with periodic wrap by shifted inverse iteration.
 
-    The shift starts at min(-V) - 1 (keeping the matrix positive definite) and
-    is pulled toward the running Rayleigh quotient once the iterate settles,
-    which restores fast convergence when the spectral gap is small.
+    Cold, the iteration starts from a constant with the shift at min(-V) - 1
+    (keeping the matrix positive definite).  Given the eigenpair of a nearby
+    potential as `start`, it starts from that eigenvector with the shift just
+    below its Rayleigh quotient on V.  Either way the shift is pulled toward
+    the running Rayleigh quotient once the iterate settles, which restores
+    fast convergence when the spectral gap is small; the sign check on the
+    result rejects an iteration drawn to a higher eigenpair.
     """
     dx = V.grid.dx
     main, off = 2.0 / dx**2 - V.values[:-1], -1.0 / dx**2  # -D2 - V, periodic nodes
-    shift = float(np.min(-V.values)) - 1.0
     # the achievable residual scales with the matrix norm (~4/dx^2)
     anorm = 4.0 / dx**2 + float(np.max(np.abs(V.values)))
     stop = max(1e-11, 50.0 * np.finfo(float).eps * anorm)
@@ -116,16 +119,27 @@ def principal_eigenpair(V: Potential) -> EigenPair:
         grad /= dx
         return float(grad @ grad - (V.values[:-1] * y) @ y)
 
+    def residual(y: np.ndarray, lam: float) -> float:
+        # y_{i-1} + y_{i+1} with periodic wrap
+        np.add(y[:-2], y[2:], out=neighbours[1:-1])
+        neighbours[0], neighbours[-1] = y[-1] + y[1], y[-2] + y[0]
+        return float(np.linalg.norm(main * y + off * neighbours - lam * y))
+
+    if start is None:
+        shift = float(np.min(-V.values)) - 1.0
+        x = np.full(main.size, 1.0 / np.sqrt(main.size))
+    else:
+        if start.phi.grid != V.grid:
+            raise ValueError("start eigenpair and potential must share a grid")
+        x = start.phi.values[:-1] / np.linalg.norm(start.phi.values[:-1])
+        lam = quad_form(x)
+        shift = lam - max(residual(x, lam), 1e-8)
     solve = _periodic_solver(main - shift, off)
-    x = np.full(main.size, 1.0 / np.sqrt(main.size))
     for iterations in range(1, 501):
         y = solve(x)
         y /= np.linalg.norm(y)
         lam = quad_form(y)
-        # y_{i-1} + y_{i+1} with periodic wrap
-        np.add(y[:-2], y[2:], out=neighbours[1:-1])
-        neighbours[0], neighbours[-1] = y[-1] + y[1], y[-2] + y[0]
-        res = float(np.linalg.norm(main * y + off * neighbours - lam * y))
+        res = residual(y, lam)
         x = y
         if res < stop:
             break
@@ -265,9 +279,11 @@ def slow_regime_certificate(sol: SlabSolution) -> CertificateReport:
         )
     v, vx = slab_drift(sol)
     entries = []
+    pair = None
     for c_test in CERTIFICATE_SPEEDS:
         pot = assemble_potential(sol.u, c_test, v, vx)
-        pair = principal_eigenpair(pot)
+        # neighbouring test speeds give nearby potentials: each pair starts the next
+        pair = principal_eigenpair(pot, start=pair)
         entries.append(
             {"c_test": c_test, "lambda": pair.lam, "phi0": pair.phi_at(0.0)}
         )

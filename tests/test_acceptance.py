@@ -15,7 +15,7 @@ from chemofront.diagnostics import (
     monotonicity_check,
 )
 from chemofront.evolver import EvolveConfig, evolve, measure_speed, speed_from_integral
-from chemofront.grids import Field, Grid1D, step_field
+from chemofront.grids import Field, Grid1D
 from chemofront.kernels import ChemoParams, KernelSpec, validate_kernel
 from chemofront.scan import ScanConfig, records_to_csv, run_scan, sandwich_table
 from chemofront.slab import SlabConfig, fixed_point, slab_bounds_check

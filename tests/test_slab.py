@@ -80,10 +80,8 @@ def test_fkpp_slab_speed_near_two():
 def test_homotopy_path_is_recorded():
     config = SlabConfig(a=40.0, params=ChemoParams(-0.05, 1.0), spec=EXP)
     sol = fixed_point(config)
-    taus = [t for t, _ in sol.tau_path]
-    assert taus[0] == 0.0
-    assert taus[-1] == 1.0
-    assert all(0.0 < b - a <= 0.1 + 1e-12 for a, b in zip(taus, taus[1:]))
+    # weak coupling: the trial jump from the tau = 0 wave to tau = 1 is accepted
+    assert [t for t, _ in sol.tau_path] == [0.0, 1.0]
     # speeds along the path stay near 2 in this weak-coupling regime
     assert all(1.8 < c < 2.2 for _, c in sol.tau_path)
 
@@ -149,7 +147,9 @@ def test_fast_regime_wave_converges():
     config = SlabConfig(a=60.0, params=ChemoParams(-20.0, 200.0), spec=EXP)
     sol = fixed_point(config)
     assert sol.converged
-    assert sol.tau_path[-1][0] == 1.0
+    # strong coupling: the first full step of the jump to tau = 1 does not
+    # halve the residual, so the trial is rejected and TAUS is followed instead
+    assert [tau for tau, _ in sol.tau_path] == [0.0, *slab.TAUS[1:]]
     assert sol.c == pytest.approx(11.53654557283846, abs=1e-8)
     # its tail falls below the first Newton solve's error; refined, it is positive
     assert np.min(sol.u.values[1:-1]) > 0.0
@@ -157,13 +157,23 @@ def test_fast_regime_wave_converges():
 
 def test_wide_weak_wave_follows_the_tau_homotopy():
     # a wide kernel with weak coupling; a Newton solve straight at tau = 1 from
-    # the FKPP seed lands on another wave (c ~ 1.99934), the homotopy on this one
+    # the FKPP seed lands on another wave (c ~ 1.99934), but the trial jump to
+    # tau = 1 from the tau = 0 wave lands on the one the full TAUS path reaches
     config = SlabConfig(a=60.0, params=ChemoParams(-0.05, 200.0), spec=EXP)
     sol = fixed_point(config)
     assert sol.converged
-    assert sol.tau_path[-1][0] == 1.0
-    assert [tau for tau, _ in sol.tau_path] == pytest.approx([0.1 * k for k in range(11)])
+    assert [tau for tau, _ in sol.tau_path] == [0.0, 1.0]
     assert sol.c == pytest.approx(2.0182352163168034, abs=1e-8)
+
+
+def test_fast_tophat_wave_rejects_the_trial_and_follows_taus():
+    # the FFT drift path of the fallback: the jump's first full step does not
+    # halve the residual, so the solve continues along TAUS from tau = 0
+    config = SlabConfig(a=60.0, params=ChemoParams(-20.0, 200.0), spec=KernelSpec("tophat"))
+    sol = fixed_point(config)
+    assert sol.converged
+    assert [tau for tau, _ in sol.tau_path] == [0.0, *slab.TAUS[1:]]
+    assert sol.c == pytest.approx(11.505194541100446, abs=1e-8)
 
 
 @pytest.mark.parametrize("chi", [0.0, -0.05])

@@ -128,6 +128,50 @@ def test_matches_dense_oracle_on_certificate_potentials(wave, request):
         assert eigen_residual(pair, pot) < 1e-10
 
 
+@pytest.mark.parametrize("wave", ["slab_repulsive", "slab_attractive"])
+def test_warm_start_matches_cold_solve_on_certificate_potentials(wave, request):
+    # the certificate's chain: each pair starts the solve at the next test speed
+    sol = request.getfixturevalue(wave)
+    v, vx = slab_drift(sol)
+    pair = principal_eigenpair(assemble_potential(sol.u, CERTIFICATE_SPEEDS[0], v, vx))
+    for c_test in CERTIFICATE_SPEEDS[1:]:
+        pot = assemble_potential(sol.u, c_test, v, vx)
+        pair = principal_eigenpair(pot, start=pair)
+        assert pair.iterations <= 3
+        assert pair.lam == pytest.approx(principal_eigenpair(pot).lam, abs=1e-12)
+        assert pair.lam == pytest.approx(banded_principal_eigenvalue(pot), abs=1e-10)
+        assert np.min(pair.phi.values) > 0.0
+
+
+def test_sign_changing_start_recovers_or_raises():
+    # a start vector that changes sign may draw the iteration to a higher
+    # eigenpair; the sign check must then raise rather than return its lambda
+    rng = np.random.default_rng(23)
+    grid = Grid1D(-5.0, 5.0, 257)
+    vals = rng.uniform(-1.0, 1.0, grid.n)
+    vals[-1] = vals[0]
+    pot = Potential(grid=grid, values=vals)
+    lam_oracle = banded_principal_eigenvalue(pot)
+    m, dx = grid.n - 1, grid.dx
+    ring = np.eye(m, k=1) + np.eye(m, k=-1) + np.eye(m, k=m - 1) + np.eye(m, k=1 - m)
+    _, modes = np.linalg.eigh(np.diag(2.0 / dx**2 - vals[:m]) - ring / dx**2)
+    x = grid.x[:-1]
+    starts = [modes[:, k] for k in (1, 2, 5)]
+    starts += [np.cos(0.2 * np.pi * x), np.sin(0.2 * np.pi * x), np.cos(0.2 * np.pi * x) + 0.9]
+    outcomes = set()
+    for y in starts:
+        start = spectral.EigenPair(lam=0.0, phi=Field(grid, np.append(y, y[0])), residual=0.0, iterations=0)
+        try:
+            pair = principal_eigenpair(pot, start=start)
+        except np.linalg.LinAlgError:
+            outcomes.add("raised")
+            continue
+        outcomes.add("recovered")
+        assert pair.lam == pytest.approx(lam_oracle, abs=1e-10)
+        assert np.min(pair.phi.values) > 0.0
+    assert outcomes == {"raised", "recovered"}
+
+
 def test_matches_dense_oracle_on_random_potentials():
     rng = np.random.default_rng(23)
     grid = Grid1D(-5.0, 5.0, 257)
