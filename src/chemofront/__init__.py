@@ -15,7 +15,6 @@ from .evolver import EvolveConfig, SpeedEstimate, Trajectory, evolve, measure_sp
 from .slab import SlabConfig, SlabSolution, fixed_point, slab_bounds_check
 from .spectral import (
     EigenPair,
-    Potential,
     TransformedProfile,
     assemble_potential,
     principal_eigenpair,
@@ -61,7 +60,6 @@ __all__ = [
     "fixed_point",
     "slab_bounds_check",
     "EigenPair",
-    "Potential",
     "TransformedProfile",
     "assemble_potential",
     "principal_eigenpair",

@@ -25,7 +25,7 @@ from .evolver import BlowUpError, EvolveConfig, evolve, measure_speed, speed_fro
 from .grids import Field, Grid1D
 from .kernels import ChemoParams, parse_kernel, validate_kernel
 from .scan import FAILURE_FLAGS, ScanConfig, run_scan, sandwich_table, write_scan_csv
-from .slab import SlabConfig, fixed_point
+from .slab import SlabConfig, SlabSolution, fixed_point
 from .spectral import assemble_potential, principal_eigenpair, slab_drift
 
 EXIT_OK = 0
@@ -102,6 +102,11 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         p.add_argument("--kernel", default="exp")
         p.add_argument("--out", help="output file (relative paths land in FKPP_OUT_DIR)")
 
+    def slab_options(p):
+        p.add_argument("--a", type=float, default=60.0)
+        p.add_argument("--theta", type=float, default=0.005)
+        p.add_argument("--dx", type=float, default=0.05)
+
     p_evolve = sub.add_parser("evolve", help="time-dependent run with front tracking")
     common(p_evolve)
     p_evolve.add_argument("--xmin", type=float, default=-50.0)
@@ -114,15 +119,11 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p_slab = sub.add_parser("slab", help="traveling-wave slab solve")
     common(p_slab)
-    p_slab.add_argument("--a", type=float, default=60.0)
-    p_slab.add_argument("--theta", type=float, default=0.005)
-    p_slab.add_argument("--dx", type=float, default=0.05)
+    slab_options(p_slab)
 
     p_eigen = sub.add_parser("eigen", help="potential and principal eigenpair of a slab wave")
     common(p_eigen)
-    p_eigen.add_argument("--a", type=float, default=60.0)
-    p_eigen.add_argument("--theta", type=float, default=0.005)
-    p_eigen.add_argument("--dx", type=float, default=0.05)
+    slab_options(p_eigen)
     p_eigen.add_argument("--ctest", type=float, default=2.0)
 
     p_scan = sub.add_parser("scan", help="(chi, sigma) sweep with regime classification")
@@ -131,9 +132,7 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_scan.add_argument("--kernel", default="exp")
     p_scan.add_argument("--mode", choices=("slab", "evolve", "both"), default="slab")
     p_scan.add_argument("--workers", type=int, default=1)
-    p_scan.add_argument("--a", type=float, default=60.0)
-    p_scan.add_argument("--dx", type=float, default=0.05)
-    p_scan.add_argument("--theta", type=float, default=0.005)
+    slab_options(p_scan)
     p_scan.add_argument("--out")
 
     p_check = sub.add_parser("check", help="diagnostics on a stored profile")
@@ -207,11 +206,15 @@ def _cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_slab(args) -> int:
+def _slab_wave(args) -> SlabSolution:
+    """Solve the slab wave the `slab` and `eigen` subcommands share."""
     spec = parse_kernel(args.kernel)
     params = ChemoParams(args.chi, args.sigma)
-    config = SlabConfig(a=args.a, params=params, spec=spec, theta=args.theta, dx=args.dx)
-    sol = fixed_point(config)
+    return fixed_point(SlabConfig(a=args.a, params=params, spec=spec, theta=args.theta, dx=args.dx))
+
+
+def _cmd_slab(args) -> int:
+    sol = _slab_wave(args)
     v, vx = slab_drift(sol)
     path = _out_path("slab.csv", args.out)
     write_profile(
@@ -234,10 +237,7 @@ def _cmd_slab(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    spec = parse_kernel(args.kernel)
-    params = ChemoParams(args.chi, args.sigma)
-    config = SlabConfig(a=args.a, params=params, spec=spec, theta=args.theta, dx=args.dx)
-    sol = fixed_point(config)
+    sol = _slab_wave(args)
     if not sol.converged:
         print("slab solve did not converge", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -37,38 +37,6 @@ def _d_alpha(alpha: float) -> float:
     return float(gamma_fn(1.0 + 1.0 / alpha) ** -alpha)
 
 
-def _default_tail_cutoff(family: str, shape: float | None) -> float:
-    """Smallest radius beyond which Kbar < TAIL_EPS (support edge for tophat)."""
-    if family == "exp":
-        return float(np.log(0.5 / TAIL_EPS))
-    if family == "tophat":
-        return 1.0
-    if family == "powerlaw":
-        k = shape
-        return (k - 1.0) * ((2.0 * TAIL_EPS) ** (1.0 / (1.0 - k)) - 1.0)
-    if family == "stretched":
-        return _stretched_cutoff(shape)
-    raise ValueError(f"unknown kernel family: {family!r}")
-
-
-@lru_cache(maxsize=None)
-def _stretched_cutoff(alpha: float) -> float:
-    """Radius where the stretched-family Kbar itself drops to TAIL_EPS.
-
-    The pointwise bound |K(x)| = TAIL_EPS underestimates the cutoff because
-    the tail integral carries an algebraic prefactor, so solve on Kbar.
-    """
-    from scipy.optimize import brentq
-
-    lo = (_d_alpha(alpha) * np.log(0.5 / TAIL_EPS)) ** (1.0 / alpha)
-    if _kbar_stretched(alpha, lo) <= TAIL_EPS:
-        return float(lo)
-    hi = lo
-    while _kbar_stretched(alpha, hi) > TAIL_EPS:
-        hi *= 1.5
-    return float(brentq(lambda x: _kbar_stretched(alpha, x) - TAIL_EPS, lo, hi, rtol=1e-12))
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Which kernel family and its shape parameter."""
@@ -88,8 +56,8 @@ class KernelSpec:
 
     @property
     def tail_cutoff(self) -> float:
-        """Truncation radius: beyond it Kbar < TAIL_EPS (the support edge for tophat)."""
-        return _default_tail_cutoff(self.family, self.shape)
+        """Truncation radius Kbar^-1(TAIL_EPS) (the support edge for tophat)."""
+        return 1.0 if self.family == "tophat" else kbar_inverse(self, TAIL_EPS)
 
     def __str__(self) -> str:
         if self.family == "powerlaw":
@@ -200,8 +168,12 @@ def _kbar_stretched(alpha: float, x):
     return prefactor * gammaincc(1.0 / alpha, x**alpha / d)
 
 
+@lru_cache(maxsize=64)
 def kbar_inverse(spec: KernelSpec, w: float) -> float:
-    """The unique x >= 0 with Kbar(x) = w, for w in (0, 1/2]."""
+    """The unique x >= 0 with Kbar(x) = w, for w in (0, 1/2].
+
+    Cached: for the stretched family each (shape, w) costs one root find.
+    """
     if not 0.0 < w <= 0.5:
         raise ValueError("kbar_inverse requires w in (0, 1/2]")
     if spec.family == "exp":
@@ -215,7 +187,8 @@ def kbar_inverse(spec: KernelSpec, w: float) -> float:
         return 0.0
     from scipy.optimize import brentq
 
-    hi = spec.tail_cutoff
+    # from the exponential-tail guess, double until Kbar(hi) <= w brackets the root
+    hi = (_d_alpha(spec.shape) * np.log(0.5 / w)) ** (1.0 / spec.shape)
     while kbar(spec, hi) > w:
         hi *= 2.0
     return float(

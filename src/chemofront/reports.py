@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -55,6 +54,3 @@ class BoundsReport:
 
     def to_dict(self) -> dict:
         return {"checks": [c.to_dict() for c in self.checks], "all_passed": self.all_passed}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)

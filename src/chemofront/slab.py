@@ -3,26 +3,27 @@
 On [-a, a] with u(-a)=1, u(a)=0 and the normalization max_{x>=0} u = theta,
 the pair (c, u) solves
 
-    -c u_x + tau (v u)_x = u_xx + u(1-u),   v = chi K_sigma * u~,
+    -c u_x + (v u)_x = u_xx + u(1-u),   v = chi K_sigma * u~,
 
 where u~ is the profile extended by 1 on the left and 0 on the right.  The
-speed-and-profile map S_tau(c, u) = (c + theta - max_{x>=0} u, u_bar), with
-u_bar the solution of the frozen-coefficient linear problem
+speed-and-profile map S(c, u) = (c + theta - max_{x>=0} u, u_bar), with u_bar
+the solution of the frozen-coefficient linear problem
 
-    u_bar_xx + c u_bar_x - tau (v u_bar)_x = -u(1-u),   u_bar(-a)=1, u_bar(a)=0,
+    u_bar_xx + c u_bar_x - (v u_bar)_x = -u(1-u),   u_bar(-a)=1, u_bar(a)=0,
 
 has the wave as its fixed point.  That fixed point is computed by one Newton
 method on (u, c) jointly, with the normalization as the extra equation and the
-nonlocal drift in the Jacobian.  The pure FKPP slab (tau = 0) is solved first;
-from its wave one trial solve jumps straight to the model (tau = 1).  The trial
-is rejected unless its first full Newton step at least halves the max-norm
-residual (Deuflhard's monotonicity test, theta <= 1/2), and a rejected trial
-falls back to homotopy continuation along TAUS from the same tau = 0 wave.
+nonlocal drift in the Jacobian.  Homotopy stage tau solves the model at
+coupling tau*chi.  The pure FKPP slab (tau = 0) is solved first; from its wave
+one trial solve jumps straight to the model (tau = 1).  The trial is rejected
+unless its first full Newton step at least halves the max-norm residual
+(Deuflhard's monotonicity test, theta <= 1/2), and a rejected trial falls back
+to homotopy continuation along TAUS from the same tau = 0 wave.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,43 +77,24 @@ class SlabSolution:
     tau_path: list[tuple[float, float]]  # (tau, c) along the homotopy
 
 
-def _refined_max(vals: np.ndarray) -> float:
-    """Discrete max with parabolic refinement over the three nearest samples."""
-    i = int(np.argmax(vals))
-    if i == 0 or i == vals.size - 1:
-        return float(vals[i])
-    y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom >= 0.0:  # flat or non-concave: keep the sample value
-        return float(y1)
-    delta = 0.5 * (y0 - y2) / denom
-    return float(y1 - 0.25 * (y0 - y2) * delta)
-
-
-def max_right_half(u: Field) -> float:
-    """max_{x >= 0} u with sub-grid parabolic refinement."""
-    i0 = u.grid.index_of(0.0)
-    return _refined_max(u.values[i0:])
-
-
-def _frozen_advection(u_vals: np.ndarray, config: SlabConfig, tau: float) -> np.ndarray:
-    if tau == 0.0 or config.params.chi == 0.0:
+def _frozen_advection(u_vals: np.ndarray, config: SlabConfig) -> np.ndarray:
+    if config.params.chi == 0.0:
         return np.zeros_like(u_vals)
     field = Field(config.grid, u_vals, left_ext=1.0, right_ext=0.0)
     return advection(field, config.spec, config.params).values
 
 
-def _bands(c: float, tv: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sub-, main and super-diagonal of u_xx + c u_x - (tv u)_x with identity
+def _bands(c: float, v: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-, main and super-diagonal of u_xx + c u_x - (v u)_x with identity
     rows at both ends.
 
     The advective terms use centered differences too: the cell Peclet number
     is small in every supported regime, and first-order upwinding would bias
     the speed by c*dx/2.
     """
-    lower = 1.0 / dx**2 - c / (2.0 * dx) + tv[:-1] / (2.0 * dx)
-    main = np.full(tv.size, -2.0 / dx**2)
-    upper = 1.0 / dx**2 + c / (2.0 * dx) - tv[1:] / (2.0 * dx)
+    lower = 1.0 / dx**2 - c / (2.0 * dx) + v[:-1] / (2.0 * dx)
+    main = np.full(v.size, -2.0 / dx**2)
+    upper = 1.0 / dx**2 + c / (2.0 * dx) - v[1:] / (2.0 * dx)
     lower[-1] = upper[0] = 0.0
     main[0] = main[-1] = 1.0
     return lower, main, upper
@@ -127,12 +109,12 @@ def _seed_profile(config: SlabConfig) -> Field:
     return Field(grid, vals, left_ext=1.0, right_ext=0.0)
 
 
-def _bvp_residual(u: np.ndarray, c: float, v: np.ndarray, tau: float, config: SlabConfig, pin: int) -> np.ndarray:
+def _bvp_residual(u: np.ndarray, c: float, v: np.ndarray, config: SlabConfig, pin: int) -> np.ndarray:
     n, dx = config.grid.n, config.dx
     F = np.empty(n + 1)
     F[1:-2] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx**2 + c * (u[2:] - u[:-2]) / (2.0 * dx)
-    if tau != 0.0:
-        F[1:-2] -= tau * (v[2:] * u[2:] - v[:-2] * u[:-2]) / (2.0 * dx)
+    if config.params.chi != 0.0:
+        F[1:-2] -= (v[2:] * u[2:] - v[:-2] * u[:-2]) / (2.0 * dx)
     F[1:-2] += u[1:-1] * (1.0 - u[1:-1])
     F[0] = u[0] - 1.0
     F[-2] = u[-1]
@@ -143,20 +125,20 @@ def _bvp_residual(u: np.ndarray, c: float, v: np.ndarray, tau: float, config: Sl
 def _newton(
     u: np.ndarray,
     c: float,
-    tau: float,
     config: SlabConfig,
     tol: float = NEWTON_TOL,
     trial: bool = False,
 ) -> tuple[np.ndarray, float, float, int, bool]:
-    """Newton on the slab equations augmented with u[pin] = theta, at one tau.
+    """Newton on the slab equations augmented with u[pin] = theta.
 
     A `trial` solve gives up, unconverged, after one step unless that first
     full step at least halves the max-norm residual.
 
-    The normalization is pinned at the running argmax of the right half;
-    pinning a profile value removes the near-singular translation mode that
-    defeats plain iteration on u alone.  The Jacobian carries the nonlocal
-    term -tau (u dv)_x with dv = chi K_sigma * du.  Its step is found by
+    The normalization is pinned at the running argmax of the right half, so
+    at convergence max_{x>=0} u = theta to within the residual; pinning a
+    profile value removes the near-singular translation mode that defeats
+    plain iteration on u alone.  The Jacobian carries the nonlocal term
+    -(u dv)_x with dv = chi K_sigma * du.  Its step is found by
     GMRES, right-preconditioned by the frozen-drift tridiagonal-plus-border
     matrix (Jacobian-free Newton-Krylov); without coupling that bordered
     solve is the whole step.
@@ -164,15 +146,15 @@ def _newton(
     grid = config.grid
     n, dx = grid.n, grid.dx
     i0 = grid.index_of(0.0)
-    coupled = tau != 0.0 and config.params.chi != 0.0
-    v = _frozen_advection(u, config, tau)
+    coupled = config.params.chi != 0.0
+    v = _frozen_advection(u, config)
     for it in range(1, NEWTON_MAX_ITER + 1):
         pin = i0 + int(np.argmax(u[i0:]))
-        F = _bvp_residual(u, c, v, tau, config, pin)
+        F = _bvp_residual(u, c, v, config, pin)
         nrm = float(np.max(np.abs(F)))
         if nrm < tol:
             return u, c, nrm, it, True
-        lower, main, upper = _bands(c, tau * v, dx)
+        lower, main, upper = _bands(c, v, dx)
         main[1:-1] += 1.0 - 2.0 * u[1:-1]
         solve = tridiagonal_solver(lower, main, upper)
         dFdc = np.zeros(n)
@@ -194,7 +176,7 @@ def _newton(
                 du = bordered_solve(y)[:-1]
                 dv = advection(Field(grid, du), config.spec, config.params).values
                 out = y.copy()
-                out[1:-2] -= tau * (u[2:] * dv[2:] - u[:-2] * dv[:-2]) / (2.0 * dx)
+                out[1:-2] -= (u[2:] * dv[2:] - u[:-2] * dv[:-2]) / (2.0 * dx)
                 return out
 
             op = LinearOperator((n + 1, n + 1), matvec=preconditioned_jacobian, dtype=float)
@@ -207,15 +189,15 @@ def _newton(
         step = 1.0
         while True:
             u_next, c_next = u + step * du, c + step * dc
-            v_next = _frozen_advection(u_next, config, tau)
-            res_next = np.max(np.abs(_bvp_residual(u_next, c_next, v_next, tau, config, pin)))
+            v_next = _frozen_advection(u_next, config)
+            res_next = np.max(np.abs(_bvp_residual(u_next, c_next, v_next, config, pin)))
             if trial and it == 1 and res_next > 0.5 * nrm:
                 return u, c, nrm, it, False
             if res_next < nrm or step <= 1e-8:
                 break
             step *= 0.5
         u, c, v = u_next, c_next, v_next
-    return u, c, float(np.max(np.abs(_bvp_residual(u, c, v, tau, config, pin)))), it, False
+    return u, c, float(np.max(np.abs(_bvp_residual(u, c, v, config, pin)))), it, False
 
 
 def _positive_interior(u: np.ndarray) -> bool:
@@ -224,7 +206,8 @@ def _positive_interior(u: np.ndarray) -> bool:
 
 def fixed_point(config: SlabConfig) -> SlabSolution:
     """Solve the slab problem at tau = 0 (the FKPP limit), then by one trial
-    Newton solve at tau = 1 (the model) from that wave.
+    Newton solve at tau = 1 (the model) from that wave; stage tau solves the
+    model at coupling tau*chi.
 
     The trial is rejected unless its first full step at least halves the
     residual; a rejected or unconverged trial falls back to continuation along
@@ -233,17 +216,22 @@ def fixed_point(config: SlabConfig) -> SlabSolution:
     raised; so is a root that is not positive at every interior node (a
     sign-changing solution of the slab equations, not a wave).
     """
-    u, c, residual, total_iters, ok = _newton(_seed_profile(config).values.copy(), 2.0, 0.0, config)
+    chi, sigma = config.params.chi, config.params.sigma
+
+    def stage(tau: float) -> SlabConfig:
+        return replace(config, params=ChemoParams(tau * chi, sigma))
+
+    u, c, residual, total_iters, ok = _newton(_seed_profile(config).values.copy(), 2.0, stage(0.0))
     path = [(0.0, c)]
     if ok:
-        u_jump, c_jump, residual, iters, ok = _newton(u, c, 1.0, config, trial=True)
+        u_jump, c_jump, residual, iters, ok = _newton(u, c, config, trial=True)
         total_iters += iters
         if ok:
             u, c = u_jump, c_jump
             path.append((1.0, c))
         else:
             for tau in TAUS[1:]:
-                u, c, residual, iters, ok = _newton(u, c, tau, config)
+                u, c, residual, iters, ok = _newton(u, c, stage(tau))
                 total_iters += iters
                 path.append((tau, c))
                 if not ok:
@@ -252,16 +240,14 @@ def fixed_point(config: SlabConfig) -> SlabSolution:
     if ok and not _positive_interior(u):
         # where the profile has decayed below the inexact Newton step's error,
         # a root can dip below zero: refine it before judging its sign
-        u, c, residual, iters, ok = _newton(u, c, tau, config, POLISH_TOL)
+        u, c, residual, iters, ok = _newton(u, c, stage(tau), POLISH_TOL)
         total_iters += iters
         path[-1] = (tau, c)
     ok = ok and _positive_interior(u)
-    field = Field(config.grid, u, left_ext=1.0, right_ext=0.0)
-    norm_gap = abs(max_right_half(field) - config.theta)
     return SlabSolution(
         c=c,
-        u=field,
-        residual=max(residual, norm_gap),
+        u=Field(config.grid, u, left_ext=1.0, right_ext=0.0),
+        residual=residual,
         iterations=total_iters,
         converged=ok,
         config=config,

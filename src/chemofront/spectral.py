@@ -30,17 +30,6 @@ def slow_predicate(chi: float, sigma: float) -> float:
 
 
 @dataclass
-class Potential:
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("potential must be finite")
-
-
-@dataclass
 class EigenPair:
     lam: float
     phi: Field
@@ -57,7 +46,7 @@ class TransformedProfile:
     residual: float
 
 
-def assemble_potential(u: Field, c: float, v: Field, vx: Field) -> Potential:
+def assemble_potential(u: Field, c: float, v: Field, vx: Field) -> Field:
     """Build V = -u - eps(1 + eps/4) + v(c/2 - v/4) + v_x/2 from profile, speed
     and drift."""
     if u.grid != v.grid or u.grid != vx.grid:
@@ -71,7 +60,7 @@ def assemble_potential(u: Field, c: float, v: Field, vx: Field) -> Potential:
         + v.values * (c / 2.0 - v.values / 4.0)
         + vx.values / 2.0
     )
-    return Potential(u.grid, vals)
+    return Field(u.grid, vals)
 
 
 def _periodic_solver(main: np.ndarray, off: float):
@@ -93,16 +82,27 @@ def _periodic_solver(main: np.ndarray, off: float):
     return periodic_solve
 
 
-def principal_eigenpair(V: Potential, start: EigenPair | None = None) -> EigenPair:
+def _quad_form(y: np.ndarray, V: Field, difference: np.ndarray) -> float:
+    """y' A y for the periodic -D2 - V, by the difference form, which is exact
+    on near-constant y where A @ y suffers cancellation; `difference` is
+    scratch space of y's size."""
+    grad = periodic_difference(y, difference)
+    grad /= V.grid.dx
+    return float(grad @ grad - (V.values[:-1] * y) @ y)
+
+
+def principal_eigenpair(V: Field, start: EigenPair | None = None) -> EigenPair:
     """Ground state of -d_xx - V with periodic wrap by shifted inverse iteration.
 
     Cold, the iteration starts from a constant with the shift at min(-V) - 1
     (keeping the matrix positive definite).  Given the eigenpair of a nearby
     potential as `start`, it starts from that eigenvector with the shift just
-    below its Rayleigh quotient on V.  Either way the shift is pulled toward
-    the running Rayleigh quotient once the iterate settles, which restores
-    fast convergence when the spectral gap is small; the sign check on the
-    result rejects an iteration drawn to a higher eigenpair.
+    below its Rayleigh quotient on V; a start that is not positive everywhere
+    is refused, since it can hold the shift between higher eigenvalues.
+    Either way the shift is pulled toward the running Rayleigh quotient once
+    the iterate settles, which restores fast convergence when the spectral gap
+    is small; the sign check on the result rejects an iteration drawn to a
+    higher eigenpair.
     """
     dx = V.grid.dx
     main, off = 2.0 / dx**2 - V.values[:-1], -1.0 / dx**2  # -D2 - V, periodic nodes
@@ -111,13 +111,6 @@ def principal_eigenpair(V: Potential, start: EigenPair | None = None) -> EigenPa
     stop = max(1e-11, 50.0 * np.finfo(float).eps * anorm)
 
     difference, neighbours = np.empty(main.size), np.empty(main.size)
-
-    def quad_form(y: np.ndarray) -> float:
-        # y' A y for unit y via the difference form, which is exact on
-        # near-constant eigenvectors where A @ y suffers cancellation
-        grad = periodic_difference(y, difference)
-        grad /= dx
-        return float(grad @ grad - (V.values[:-1] * y) @ y)
 
     def residual(y: np.ndarray, lam: float) -> float:
         # y_{i-1} + y_{i+1} with periodic wrap
@@ -131,14 +124,16 @@ def principal_eigenpair(V: Potential, start: EigenPair | None = None) -> EigenPa
     else:
         if start.phi.grid != V.grid:
             raise ValueError("start eigenpair and potential must share a grid")
+        if np.min(start.phi.values) <= 0.0:
+            raise ValueError("start eigenvector must be positive")
         x = start.phi.values[:-1] / np.linalg.norm(start.phi.values[:-1])
-        lam = quad_form(x)
+        lam = _quad_form(x, V, difference)
         shift = lam - max(residual(x, lam), 1e-8)
     solve = _periodic_solver(main - shift, off)
     for iterations in range(1, 501):
         y = solve(x)
         y /= np.linalg.norm(y)
-        lam = quad_form(y)
+        lam = _quad_form(y, V, difference)
         res = residual(y, lam)
         x = y
         if res < stop:
@@ -158,25 +153,21 @@ def principal_eigenpair(V: Potential, start: EigenPair | None = None) -> EigenPa
     return EigenPair(lam=lam, phi=phi, residual=res, iterations=iterations)
 
 
-def rayleigh_quotient(psi: Field, V: Potential) -> float:
+def rayleigh_quotient(psi: Field, V: Field) -> float:
     """(int psi_x^2 - int V psi^2) / int psi^2 with periodic differences.
 
-    The discrete form equals the quadratic form of the eigenproblem matrix, so
-    the variational principle holds exactly at the discrete level.
+    The numerator is the eigensolver's own quadratic form, so the variational
+    principle holds exactly at the discrete level.
     """
     if psi.grid != V.grid:
         raise ValueError("test function and potential must share a grid")
     if abs(psi.values[0] - psi.values[-1]) > 1e-10:
         raise ValueError("test function must be periodic")
     vals = psi.values[:-1]
-    dx = psi.grid.dx
-    mass = float(np.sum(vals**2)) * dx
-    if mass < 1e-14:
+    mass = float(vals @ vals)
+    if mass * psi.grid.dx < 1e-14:
         raise ValueError("test function is numerically zero")
-    grad = periodic_difference(vals, np.empty(vals.size)) / dx
-    kinetic = float(np.sum(grad**2)) * dx
-    potential = float(np.sum(V.values[:-1] * vals**2)) * dx
-    return (kinetic - potential) / mass
+    return _quad_form(vals, V, np.empty(vals.size)) / mass
 
 
 def tent_test_function(grid: Grid1D, a: float) -> Field:
@@ -242,15 +233,6 @@ class CertificateReport:
         if not self.applicable:
             return False
         return all(e["lambda"] >= -1e-8 and e["phi0"] <= np.exp(self.a / 2.0) for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "a": self.a,
-            "entries": self.entries,
-            "passed": self.passed,
-        }
 
 
 def slow_regime_certificate(sol: SlabSolution) -> CertificateReport:

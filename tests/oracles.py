@@ -13,7 +13,6 @@ from scipy.linalg import eig_banded
 from chemofront.convolve import _cell_masses, _cell_weights, _check_resolution, _window
 from chemofront.grids import Field
 from chemofront.kernels import ChemoParams, KernelSpec, kbar, kernel_scaled
-from chemofront.spectral import Potential
 
 
 def direct_drift(u: Field, spec: KernelSpec, params: ChemoParams) -> tuple[Field, Field]:
@@ -37,7 +36,7 @@ def direct_drift(u: Field, spec: KernelSpec, params: ChemoParams) -> tuple[Field
     return Field(u.grid, v), Field(u.grid, vx)
 
 
-def banded_principal_eigenvalue(V: Potential) -> float:
+def banded_principal_eigenvalue(V: Field) -> float:
     """Smallest eigenvalue of the periodic -D2 - V by LAPACK's banded solver.
 
     Renumbering the ring as 0, m-1, 1, m-2, ... puts every periodic neighbour

@@ -20,7 +20,6 @@ from chemofront.kernels import ChemoParams, KernelSpec, validate_kernel
 from chemofront.scan import ScanConfig, records_to_csv, run_scan, sandwich_table
 from chemofront.slab import SlabConfig, fixed_point, slab_bounds_check
 from chemofront.spectral import (
-    Potential,
     principal_eigenpair,
     rayleigh_quotient,
     slow_regime_certificate,
@@ -170,19 +169,19 @@ def test_criterion_07_eigensolver_oracles():
     for _ in range(50):
         vals = rng.uniform(-1.0, 1.0, grid.n)
         vals[-1] = vals[0]
-        pot = Potential(grid=grid, values=vals)
+        pot = Field(grid, vals)
         lam = principal_eigenpair(pot).lam
         worst = max(worst, abs(lam - banded_principal_eigenvalue(pot)))
 
     const_grid = Grid1D.from_spacing(-10.0, 10.0, 0.05)
-    const = Potential(grid=const_grid, values=np.full(const_grid.n, -0.3))
+    const = Field(const_grid, np.full(const_grid.n, -0.3))
     const_lam = principal_eigenpair(const).lam
     const_err = abs(const_lam - 0.3)
     worst = max(worst, abs(const_lam - banded_principal_eigenvalue(const)))
 
     tent_grid = Grid1D(-1.0, 1.0, 8193)
     psi = tent_test_function(tent_grid, a=1.0)
-    zero_pot = Potential(grid=tent_grid, values=np.zeros(tent_grid.n))
+    zero_pot = Field(tent_grid, np.zeros(tent_grid.n))
     tent_err = abs(rayleigh_quotient(psi, zero_pot) - 48.0)
 
     ok = worst <= 1e-8 and const_err <= 1e-12 and tent_err <= 1e-6 * 48.0

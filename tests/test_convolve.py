@@ -151,7 +151,7 @@ def test_young_bounds():
         v = advection(u, EXP, params)
         vx = advection_gradient(u, EXP, params)
         report = advection_bounds_check(u, v, vx, params)
-        assert report.all_passed, report.to_json()
+        assert report.all_passed, report.failures()
 
 
 def test_resolution_guard():

@@ -162,7 +162,7 @@ def test_advection_plateau_for_narrow_step_front():
     geom = front_geometry(u, consts["theta"], sigma, consts["R"])
     assert geom.regime == "narrow"
     report = advection_plateau_check(u, v, geom, params, eps)
-    assert report.all_passed, report.to_json()
+    assert report.all_passed, report.failures()
 
 
 def test_advection_plateau_rejects_wrong_regime():

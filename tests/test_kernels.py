@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chemofront.kernels import (
+    TAIL_EPS,
     ChemoParams,
     KernelSpec,
     kbar,
@@ -157,3 +158,11 @@ def test_chemo_params_standing_assumption():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_default_tail_cutoff_is_negligible(spec):
     assert float(kbar(spec, spec.tail_cutoff)) <= 1.1e-14
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_tail_cutoff_is_kbar_inverse_of_tail_eps(spec):
+    if spec.family == "tophat":
+        assert spec.tail_cutoff == 1.0  # the support edge
+    else:
+        assert float(kbar(spec, spec.tail_cutoff)) == pytest.approx(TAIL_EPS, rel=1e-12)

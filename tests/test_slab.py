@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chemofront.grids import Field, tridiagonal_solver
+from chemofront.grids import tridiagonal_solver
 from chemofront.kernels import ChemoParams, KernelSpec
 from chemofront import slab
 from chemofront.slab import (
@@ -9,7 +9,6 @@ from chemofront.slab import (
     _bvp_residual,
     _frozen_advection,
     fixed_point,
-    max_right_half,
     slab_bounds_check,
     theta_max,
 )
@@ -58,15 +57,6 @@ def test_linear_bvp_manufactured_solution():
     assert np.max(np.abs(sol - exact)) < 1e-6
 
 
-def test_max_right_half_refinement():
-    config = SlabConfig(a=20.0, params=ChemoParams(0.0, 1.0), spec=EXP, dx=0.1)
-    grid = config.grid
-    # parabola peaking off-grid at x = 5.03 with value 0.3
-    vals = np.maximum(0.0, 0.3 - 0.01 * (grid.x - 5.03) ** 2)
-    u = Field(grid, vals)
-    assert max_right_half(u) == pytest.approx(0.3, abs=1e-12)
-
-
 def test_fkpp_slab_speed_near_two():
     config = SlabConfig(a=60.0, params=ChemoParams(0.0, 1.0), spec=EXP)
     sol = fixed_point(config)
@@ -74,7 +64,8 @@ def test_fkpp_slab_speed_near_two():
     assert sol.residual < 1e-9
     assert sol.tau_path[-1][0] == 1.0
     assert 1.9 < sol.c < 2.1
-    assert max_right_half(sol.u) == pytest.approx(config.theta, abs=1e-9)
+    i0 = config.grid.index_of(0.0)
+    assert np.max(sol.u.values[i0:]) == pytest.approx(config.theta, abs=1e-9)
 
 
 def test_homotopy_path_is_recorded():
@@ -127,8 +118,8 @@ def test_speeds_match_reference(chi, sigma):
     i0 = config.grid.index_of(0.0)
     pin = i0 + int(np.argmax(u[i0:]))
     assert sol.tau_path[-1][0] == 1.0
-    v = _frozen_advection(u, config, 1.0)
-    residual = _bvp_residual(u, sol.c, v, 1.0, config, pin)
+    v = _frozen_advection(u, config)
+    residual = _bvp_residual(u, sol.c, v, config, pin)
     assert np.max(np.abs(residual)) < 1e-8
     assert slab_bounds_check(sol)["positivity"].passed
 

@@ -7,7 +7,6 @@ from chemofront.kernels import ChemoParams, KernelSpec
 from chemofront.slab import SlabConfig, fixed_point
 from chemofront.spectral import (
     CERTIFICATE_SPEEDS,
-    Potential,
     _periodic_solver,
     assemble_potential,
     principal_eigenpair,
@@ -47,7 +46,7 @@ def slab_attractive():
 
 
 def constant_potential(grid, value):
-    return Potential(grid=grid, values=np.full(grid.n, value))
+    return Field(grid, np.full(grid.n, value))
 
 
 def eigen_residual(pair, V):
@@ -143,33 +142,28 @@ def test_warm_start_matches_cold_solve_on_certificate_potentials(wave, request):
         assert np.min(pair.phi.values) > 0.0
 
 
-def test_sign_changing_start_recovers_or_raises():
+def test_sign_changing_start_recovers_or_raises(monkeypatch):
     # a start vector that changes sign may draw the iteration to a higher
-    # eigenpair; the sign check must then raise rather than return its lambda
+    # eigenpair, or hold the shift between two of them for all 500 iterations
+    # (the sawtooth y = x did): such a start is refused before any solve
     rng = np.random.default_rng(23)
     grid = Grid1D(-5.0, 5.0, 257)
     vals = rng.uniform(-1.0, 1.0, grid.n)
     vals[-1] = vals[0]
-    pot = Potential(grid=grid, values=vals)
-    lam_oracle = banded_principal_eigenvalue(pot)
+    pot = Field(grid, vals)
     m, dx = grid.n - 1, grid.dx
     ring = np.eye(m, k=1) + np.eye(m, k=-1) + np.eye(m, k=m - 1) + np.eye(m, k=1 - m)
     _, modes = np.linalg.eigh(np.diag(2.0 / dx**2 - vals[:m]) - ring / dx**2)
     x = grid.x[:-1]
     starts = [modes[:, k] for k in (1, 2, 5)]
-    starts += [np.cos(0.2 * np.pi * x), np.sin(0.2 * np.pi * x), np.cos(0.2 * np.pi * x) + 0.9]
-    outcomes = set()
+    starts += [np.cos(0.2 * np.pi * x), np.sin(0.2 * np.pi * x), np.cos(0.2 * np.pi * x) + 0.9, x]
+    monkeypatch.setattr(
+        spectral, "_periodic_solver", lambda main, off: pytest.fail("solved before refusing the start")
+    )
     for y in starts:
         start = spectral.EigenPair(lam=0.0, phi=Field(grid, np.append(y, y[0])), residual=0.0, iterations=0)
-        try:
-            pair = principal_eigenpair(pot, start=start)
-        except np.linalg.LinAlgError:
-            outcomes.add("raised")
-            continue
-        outcomes.add("recovered")
-        assert pair.lam == pytest.approx(lam_oracle, abs=1e-10)
-        assert np.min(pair.phi.values) > 0.0
-    assert outcomes == {"raised", "recovered"}
+        with pytest.raises(ValueError, match="start eigenvector must be positive"):
+            principal_eigenpair(pot, start=start)
 
 
 def test_matches_dense_oracle_on_random_potentials():
@@ -178,7 +172,7 @@ def test_matches_dense_oracle_on_random_potentials():
     for _ in range(10):
         vals = rng.uniform(-1.0, 1.0, grid.n)
         vals[-1] = vals[0]
-        pot = Potential(grid=grid, values=vals)
+        pot = Field(grid, vals)
         pair = principal_eigenpair(pot)
         assert pair.lam == pytest.approx(banded_principal_eigenvalue(pot), abs=1e-9)
 
@@ -189,8 +183,8 @@ def test_shift_covariance():
     grid = Grid1D(-5.0, 5.0, 257)
     vals = rng.uniform(-0.5, 0.5, grid.n)
     vals[-1] = vals[0]
-    base = Potential(grid=grid, values=vals)
-    shifted = Potential(grid=grid, values=vals + 0.7)
+    base = Field(grid, vals)
+    shifted = Field(grid, vals + 0.7)
     lam0 = principal_eigenpair(base).lam
     lam1 = principal_eigenpair(shifted).lam
     assert lam1 == pytest.approx(lam0 - 0.7, abs=1e-9)
@@ -209,11 +203,11 @@ def test_periodic_stencils_match_roll():
     grid = Grid1D(-5.0, 5.0, 201)
     vals = rng.standard_normal(grid.n)
     vals[-1] = vals[0]
-    V = Potential(grid=grid, values=rng.standard_normal(grid.n))
+    V = Field(grid, rng.standard_normal(grid.n))
     y, dx = vals[:-1], grid.dx
     assert np.array_equal(periodic_difference(y, np.empty(y.size)), np.roll(y, -1) - y)
     grad = (np.roll(y, -1) - y) / dx
-    expected = (np.sum(grad**2) * dx - np.sum(V.values[:-1] * y**2) * dx) / (np.sum(y**2) * dx)
+    expected = (grad @ grad - (V.values[:-1] * y) @ y) / (y @ y)
     assert rayleigh_quotient(Field(grid, vals), V) == expected
 
 
@@ -233,7 +227,7 @@ def test_variational_principle():
     grid = Grid1D(-5.0, 5.0, 129)
     vals = rng.uniform(-1.0, 1.0, grid.n)
     vals[-1] = vals[0]
-    pot = Potential(grid=grid, values=vals)
+    pot = Field(grid, vals)
     lam = principal_eigenpair(pot).lam
     assert lam == pytest.approx(banded_principal_eigenvalue(pot), abs=1e-8)
     L = grid.x_max - grid.x_min
@@ -288,7 +282,7 @@ def test_transform_to_w(slab_neutral):
 def test_certificate_passes_in_slow_regime(slab_repulsive):
     report = slow_regime_certificate(slab_repulsive)
     assert report.applicable
-    assert report.passed, report.to_dict()
+    assert report.passed, report.entries
     assert len(report.entries) == 3
     for entry in report.entries:
         assert entry["lambda"] >= -1e-8
@@ -320,7 +314,7 @@ def test_eigenvalue_grid_convergence_is_second_order():
     for n in (201, 401, 801):
         grid = Grid1D(-10.0, 10.0, n)
         vals = -0.3 - 0.1 * np.cos(np.pi * grid.x / 10.0)
-        pot = Potential(grid=grid, values=vals)
+        pot = Field(grid, vals)
         lams.append(principal_eigenpair(pot).lam)
     ratio = (lams[0] - lams[1]) / (lams[1] - lams[2])
     assert 3.5 < ratio < 4.5
@@ -331,6 +325,6 @@ def test_stagnated_inverse_iteration_raises_linalg_error(monkeypatch):
     # constant vector, which is no eigenvector of a non-constant potential
     monkeypatch.setattr(spectral, "_periodic_solver", lambda main, off: lambda rhs: rhs.copy())
     grid = Grid1D(-5.0, 5.0, 129)
-    V = Potential(grid=grid, values=np.cos(2.0 * np.pi * grid.x / 10.0))
+    V = Field(grid, np.cos(2.0 * np.pi * grid.x / 10.0))
     with pytest.raises(np.linalg.LinAlgError, match="stagnated"):
         principal_eigenpair(V)
