@@ -35,33 +35,34 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_INTERNAL = 4
 
 
+def _resolve(path: str) -> Path:
+    """The one path rule: a relative file argument, input or output, lies
+    under FKPP_OUT_DIR (default: the working directory)."""
+    return Path(os.environ.get("FKPP_OUT_DIR", ".")) / path
+
+
 def _out_path(name: str, out: str | None) -> Path:
-    root = Path(os.environ.get("FKPP_OUT_DIR", "."))
-    path = Path(out) if out else Path(name)
-    if not path.is_absolute():
-        path = root / path
+    path = _resolve(out or name)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _write_json(obj: dict, path: Path) -> None:
+    path.write_text(json.dumps(obj, indent=2, default=str) + "\n")
 
 
 def _write_columns(columns: dict, path: Path, meta: dict) -> None:
     """CSV of equal-length columns at 17 significant digits plus a JSON
     metadata sidecar that records the package and Python versions."""
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in zip(*columns.values()):
-            fh.write(row_format % row)
-    sidecar = dict(meta)
-    sidecar["versions"] = {
+    np.savetxt(path, np.column_stack(list(columns.values())), fmt="%.17g", delimiter=",",
+               header=",".join(columns), comments="")
+    versions = {
         "chemofront": __version__,
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
-    with open(str(path) + ".meta.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, default=str)
-        fh.write("\n")
+    _write_json({**meta, "versions": versions}, Path(str(path) + ".meta.json"))
 
 
 def write_profile(u: Field, v: Field, vx: Field, path: Path, meta: dict) -> None:
@@ -71,7 +72,7 @@ def write_profile(u: Field, v: Field, vx: Field, path: Path, meta: dict) -> None
     _write_columns({"x": u.grid.x, "u": u.values, "v": v.values, "v_x": vx.values}, path, meta)
 
 
-def read_profile(path: str) -> tuple[Field, Field, Field]:
+def read_profile(path: str | Path) -> tuple[Field, Field, Field]:
     data = np.genfromtxt(path, delimiter=",", names=True)
     x = data["x"]
     grid = Grid1D(float(x[0]), float(x[-1]), x.size)
@@ -96,16 +97,18 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file with flag defaults (flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    under_out_dir = " (a relative path is resolved under FKPP_OUT_DIR)"
+
     def common(p):
         p.add_argument("--chi", type=float, default=0.0)
         p.add_argument("--sigma", type=float, default=1.0)
         p.add_argument("--kernel", default="exp")
-        p.add_argument("--out", help="output file (relative paths land in FKPP_OUT_DIR)")
+        p.add_argument("--out", help="output file" + under_out_dir)
 
     def slab_options(p):
-        p.add_argument("--a", type=float, default=60.0)
-        p.add_argument("--theta", type=float, default=0.005)
-        p.add_argument("--dx", type=float, default=0.05)
+        p.add_argument("--a", type=float, default=ScanConfig.slab_a)
+        p.add_argument("--theta", type=float, default=SlabConfig.theta)
+        p.add_argument("--dx", type=float, default=SlabConfig.dx)
 
     p_evolve = sub.add_parser("evolve", help="time-dependent run with front tracking")
     common(p_evolve)
@@ -133,14 +136,14 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_scan.add_argument("--mode", choices=("slab", "evolve", "both"), default="slab")
     p_scan.add_argument("--workers", type=int, default=1)
     slab_options(p_scan)
-    p_scan.add_argument("--out")
+    p_scan.add_argument("--out", help="output file" + under_out_dir)
 
     p_check = sub.add_parser("check", help="diagnostics on a stored profile")
-    p_check.add_argument("--input", required=True)
+    p_check.add_argument("--input", required=True, help="profile CSV" + under_out_dir)
     p_check.add_argument("--chi", type=float, required=True)
     p_check.add_argument("--sigma", type=float, required=True)
     p_check.add_argument("--kernel", default="exp")
-    p_check.add_argument("--out")
+    p_check.add_argument("--out", help="output file" + under_out_dir)
 
     if defaults:
         sub_parsers = (p_evolve, p_slab, p_eigen, p_scan, p_check)
@@ -168,6 +171,7 @@ def _cmd_evolve(args) -> int:
         track_level=args.level,
     )
     traj = evolve(config)
+    est, no_speed = None, ""
     try:
         est = measure_speed(traj, args.level, 0.4)
     except ValueError as exc:
@@ -175,7 +179,7 @@ def _cmd_evolve(args) -> int:
             raise
         # aborted before the fit window held enough records: no speed, but
         # the profile and the reason are still written
-        est, no_speed = None, f" (no speed: {exc})"
+        no_speed = f" (no speed: {exc})"
     u = traj.final()
     v = advection(u, spec, params)
     vx = advection_gradient(u, spec, params)
@@ -188,22 +192,18 @@ def _cmd_evolve(args) -> int:
         {
             "command": "evolve",
             "config": vars(args),
-            "c": None if est is None else est.c,
-            "stderr": None if est is None else est.stderr,
-            "window": None if est is None else est.window,
+            # null without a speed
+            **{key: getattr(est, key, None) for key in ("c", "stderr", "window")},
             "clipped_mass": traj.clipped_mass,
             "abort_reason": traj.abort_reason,
         },
     )
-    if est is None:
-        print(f"evolve: no speed -> {path}")
-        print(f"aborted: {traj.abort_reason}{no_speed}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    print(f"evolve: c = {est.c:.6f} (stderr {est.stderr:.2e}) -> {path}")
-    if traj.abort_reason is not None:
-        print(f"aborted: {traj.abort_reason}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    speed = "no speed" if est is None else f"c = {est.c:.6f} (stderr {est.stderr:.2e})"
+    print(f"evolve: {speed} -> {path}")
+    if traj.abort_reason is None:
+        return EXIT_OK
+    print(f"aborted: {traj.abort_reason}{no_speed}", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
 
 
 def _slab_wave(args) -> SlabSolution:
@@ -293,7 +293,7 @@ def _cmd_scan(args) -> int:
 def _cmd_check(args) -> int:
     spec = parse_kernel(args.kernel)
     params = ChemoParams(args.chi, args.sigma)
-    u, v, vx = read_profile(args.input)
+    u, v, vx = read_profile(_resolve(args.input))
     kernel_report = validate_kernel(spec)
     mono = monotonicity_check(u, params)
     moment = moment_check(v, params)
@@ -311,9 +311,7 @@ def _cmd_check(args) -> int:
     except ValueError as exc:
         result["decay"] = {"error": str(exc)}
     path = _out_path("check.json", args.out)
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    _write_json(result, path)
     ok = kernel_report.all_passed and mono.all_passed
     print(f"check: {'ok' if ok else 'FAILED'} -> {path}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED

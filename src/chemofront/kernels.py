@@ -48,8 +48,8 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family: {self.family!r}")
         if self.family == "powerlaw":
-            if self.shape is None or self.shape <= 2.0:
-                raise ValueError("powerlaw kernel requires shape k > 2")
+            if self.shape is None or not 2.0 < self.shape < np.inf:
+                raise ValueError("powerlaw kernel requires a finite shape k > 2")
         elif self.family == "stretched":
             if self.shape is None or not 0.0 < self.shape < 1.0:
                 raise ValueError("stretched kernel requires shape alpha in (0, 1)")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -10,7 +10,7 @@ class Check:
     """One literal `lhs <= rhs + slack` comparison with a claim tag."""
 
     name: str
-    ref: str
+    claim: str
     lhs: float
     rhs: float
     slack: float
@@ -20,22 +20,15 @@ class Check:
         return self.lhs <= self.rhs + self.slack
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.ref,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 @dataclass
 class BoundsReport:
     checks: list[Check] = field(default_factory=list)
 
-    def add(self, name: str, ref: str, lhs: float, rhs: float, slack: float = 0.0) -> Check:
-        check = Check(name=name, ref=ref, lhs=float(lhs), rhs=float(rhs), slack=float(slack))
+    def add(self, name: str, claim: str, lhs: float, rhs: float, slack: float = 0.0) -> Check:
+        check = Check(name=name, claim=claim, lhs=float(lhs), rhs=float(rhs), slack=float(slack))
         self.checks.append(check)
         return check
 

@@ -12,7 +12,7 @@ then is classified:
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,20 +29,6 @@ FAST_SPEED_FACTOR = 0.75
 SANDWICH_SLACK = 0.05  # allowance of sandwich_table on both speed bounds
 EVOLVE_T_MAX = 150.0  # longest time-dependent run of an evolve cell
 
-CSV_COLUMNS = (
-    "chi",
-    "sigma",
-    "kernel",
-    "a",
-    "dx",
-    "c_slab",
-    "c_evolve",
-    "lambda_cert",
-    "slow_pred",
-    "fast_pred",
-    "classification",
-    "flags",
-)
 # flags that fail a scan even when the cell still has a speed
 FAILURE_FLAGS = ("slab-not-converged", "certificate-failed", "evolve-error")
 
@@ -55,8 +41,8 @@ class ScanConfig:
     mode: str = "slab"  # slab | evolve | both
     workers: int = 1
     slab_a: float = 60.0
-    slab_dx: float = 0.05
-    slab_theta: float = 0.005
+    slab_dx: float = SlabConfig.dx
+    slab_theta: float = SlabConfig.theta
 
     def __post_init__(self):
         if self.mode not in ("slab", "evolve", "both"):
@@ -239,9 +225,8 @@ def _fmt(value) -> str:
 
 def records_to_csv(records: list[RegimeRecord]) -> str:
     """Deterministic CSV rendering (17 significant digits, \\n newlines)."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(",".join(_fmt(getattr(r, name)) for name in CSV_COLUMNS))
+    lines = [",".join(f.name for f in fields(RegimeRecord))]
+    lines += [",".join(_fmt(value) for value in asdict(r).values()) for r in records]
     return "\n".join(lines) + "\n"
 
 

@@ -43,6 +43,7 @@ def test_profile_round_trip_is_bitwise(tmp_path):
     vx = advection_gradient(u, spec, params)
     path = tmp_path / "profile.csv"
     write_profile(u, v, vx, path, {"command": "test"})
+    assert path.read_text().splitlines()[0] == "x,u,v,v_x"
     u2, v2, vx2 = read_profile(str(path))
     assert np.array_equal(u.values, u2.values)
     assert np.array_equal(v.values, v2.values)
@@ -192,11 +193,12 @@ def test_scan_command_end_to_end(out_dir):
 
 def test_check_command_end_to_end(out_dir):
     assert run(["slab", "--chi", "-0.05", "--a", "40", "--out", "wave.csv"]) == EXIT_OK
+    # a relative --input resolves where a relative --out wrote the file
     code = run(
         [
             "check",
             "--input",
-            str(out_dir / "wave.csv"),
+            "wave.csv",
             "--chi",
             "-0.05",
             "--sigma",
@@ -207,6 +209,7 @@ def test_check_command_end_to_end(out_dir):
     )
     assert code == EXIT_OK
     report = json.loads((out_dir / "report.json").read_text())
+    assert report["input"] == "wave.csv"
     assert report["monotonicity"]["all_passed"]
     assert "mu" in report["decay"]
 

@@ -41,6 +41,10 @@ def test_monotonicity_check_passes_on_decreasing_profile():
     u = Field(grid, 1.0 / (1.0 + np.exp(grid.x)), left_ext=1.0)
     report = monotonicity_check(u, ChemoParams(-0.3, 1.0))
     assert report.all_passed
+    # the row format `check` writes to check.json
+    row = report.checks[0].to_dict()
+    assert list(row) == ["name", "claim", "lhs", "rhs", "slack", "pass"]
+    assert row["claim"] == "monotone-below-threshold" and row["pass"] is True
 
 
 def test_monotonicity_check_flags_bump_below_threshold():

@@ -138,6 +138,10 @@ def test_kernel_string_roundtrip():
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec("powerlaw", shape=2.0)
+    # nan <= 2 is false, so a bare lower bound would let nan through
+    for shape in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="powerlaw kernel requires a finite shape"):
+            KernelSpec("powerlaw", shape=shape)
     with pytest.raises(ValueError):
         KernelSpec("stretched", shape=1.0)
     with pytest.raises(ValueError):

@@ -160,7 +160,9 @@ def test_csv_round_trip(tmp_path, small_scan):
     _, records = small_scan
     text = records_to_csv(records)
     lines = text.splitlines()
-    assert lines[0].startswith("chi,sigma,kernel")
+    assert lines[0] == (
+        "chi,sigma,kernel,a,dx,c_slab,c_evolve,lambda_cert,slow_pred,fast_pred,classification,flags"
+    )
     assert len(lines) == len(records) + 1
     # 17-digit floats survive a parse round trip bitwise
     first = lines[1].split(",")
