@@ -1,6 +1,6 @@
-"""Uniform 1-D grids, sampled fields with constant extensions, and the
-tridiagonal (three-point stencil) solve and periodic difference the grid
-solvers share."""
+"""Uniform 1-D grids, sampled fields with constant extensions, the slab
+Newton's tridiagonal (three-point stencil) solve and the eigensolver's
+periodic difference."""
 
 from __future__ import annotations
 

@@ -93,6 +93,8 @@ class ChemoParams:
     sigma: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.chi) and np.isfinite(self.sigma)):
+            raise ValueError("chi and sigma must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.chi >= 0.5 or self.chi / self.sigma >= 0.5:

@@ -14,8 +14,9 @@ the solution of the frozen-coefficient linear problem
 has the wave as its fixed point.  That fixed point is computed by one Newton
 method on (u, c) jointly, with the normalization as the extra equation and the
 nonlocal drift in the Jacobian.  Homotopy stage tau solves the model at
-coupling tau*chi.  The pure FKPP slab (tau = 0) is solved first; from its wave
-one trial solve jumps straight to the model (tau = 1).  The trial is rejected
+coupling tau*chi.  The pure FKPP slab (tau = 0) is solved first, once per
+(a, dx, theta): it reads neither chi nor the kernel.  From its wave one trial
+solve jumps straight to the model (tau = 1).  The trial is rejected
 unless its first full Newton step at least halves the max-norm residual
 (Deuflhard's monotonicity test, theta <= 1/2), and a rejected trial falls back
 to homotopy continuation along TAUS from the same tau = 0 wave.
@@ -24,6 +25,7 @@ to homotopy continuation along TAUS from the same tau = 0 wave.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -204,8 +206,23 @@ def _positive_interior(u: np.ndarray) -> bool:
     return bool(np.min(u[1:-1]) > 0.0)
 
 
+@lru_cache(maxsize=8)
+def _fkpp_wave(a: float, dx: float, theta: float) -> tuple[np.ndarray, float, float, int, bool]:
+    """The tau = 0 stage: Newton on the pure FKPP slab from the sigmoid seed.
+
+    Without coupling `_newton` reads neither sigma nor the kernel, so every
+    (chi, sigma) on one slab grid shares this solve; the profile is returned
+    read-only.
+    """
+    config = SlabConfig(a, ChemoParams(0.0, 1.0), KernelSpec("exp"), theta, dx)
+    u, c, residual, iterations, ok = _newton(_seed_profile(config).values, 2.0, config)
+    u.setflags(write=False)
+    return u, c, residual, iterations, ok
+
+
 def fixed_point(config: SlabConfig) -> SlabSolution:
-    """Solve the slab problem at tau = 0 (the FKPP limit), then by one trial
+    """Solve the slab problem at tau = 0 (the FKPP limit, shared by every call
+    on the same slab grid through `_fkpp_wave`), then by one trial
     Newton solve at tau = 1 (the model) from that wave; stage tau solves the
     model at coupling tau*chi.
 
@@ -221,7 +238,8 @@ def fixed_point(config: SlabConfig) -> SlabSolution:
     def stage(tau: float) -> SlabConfig:
         return replace(config, params=ChemoParams(tau * chi, sigma))
 
-    u, c, residual, total_iters, ok = _newton(_seed_profile(config).values.copy(), 2.0, stage(0.0))
+    u, c, residual, total_iters, ok = _fkpp_wave(config.a, config.dx, config.theta)
+    u = u.copy()
     path = [(0.0, c)]
     if ok:
         u_jump, c_jump, residual, iters, ok = _newton(u, c, config, trial=True)

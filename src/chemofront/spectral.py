@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .convolve import advection, advection_gradient
-from .grids import Field, Grid1D, periodic_difference, tridiagonal_solver
+from .grids import Field, Grid1D, periodic_difference
 from .slab import SlabSolution
 
 CERTIFICATE_GATE = 0.1  # largest |chi|(1/sigma + sigma^2) the certificate covers
@@ -64,19 +65,26 @@ def assemble_potential(u: Field, c: float, v: Field, vx: Field) -> Field:
 
 
 def _periodic_solver(main: np.ndarray, off: float):
-    """Solve with the cyclic tridiagonal M (diagonal `main`, off-diagonals and corners
-    `off`): M = T + gamma w w^T with w = e_0 + (off/gamma) e_{m-1} leaves T tridiagonal,
-    so by Sherman-Morrison one LAPACK factorization of T serves every solve."""
+    """Solve with the symmetric positive definite cyclic tridiagonal M (diagonal
+    `main`, off-diagonals and corners `off`): M = T + gamma w w^T with
+    w = e_0 + (off/gamma) e_{m-1} leaves T tridiagonal and, as gamma = -main[0] < 0,
+    positive definite, so by Sherman-Morrison one LAPACK pttrf factorization of T
+    serves every solve.  M is positive definite exactly when T is and
+    1 + gamma w^T T^-1 w > 0; otherwise LinAlgError is raised."""
     gamma = -main[0]
     w = np.zeros(main.size)
     w[0], w[-1] = 1.0, off / gamma
-    offdiag = np.full(main.size - 1, off)
-    solve = tridiagonal_solver(offdiag, main - gamma * w * w, offdiag)
-    z = solve(gamma * w)
-    z /= 1.0 + w @ z
+    d, e, info = dpttrf(main - gamma * w * w, np.full(main.size - 1, off))
+    if info != 0:
+        raise np.linalg.LinAlgError("periodic matrix is not positive definite")
+    z, _ = dpttrs(d, e, gamma * w)
+    denominator = 1.0 + w @ z
+    if not denominator > 0.0:
+        raise np.linalg.LinAlgError("periodic matrix is not positive definite")
+    z /= denominator
 
     def periodic_solve(rhs: np.ndarray) -> np.ndarray:
-        y = solve(rhs)
+        y, _ = dpttrs(d, e, rhs)
         return y - (w @ y) * z
 
     return periodic_solve
@@ -91,18 +99,20 @@ def _quad_form(y: np.ndarray, V: Field, difference: np.ndarray) -> float:
     return float(grad @ grad - (V.values[:-1] * y) @ y)
 
 
-def principal_eigenpair(V: Field, start: EigenPair | None = None) -> EigenPair:
+def principal_eigenpair(V: Field, start: Field | None = None) -> EigenPair:
     """Ground state of -d_xx - V with periodic wrap by shifted inverse iteration.
 
     Cold, the iteration starts from a constant with the shift at min(-V) - 1
-    (keeping the matrix positive definite).  Given the eigenpair of a nearby
-    potential as `start`, it starts from that eigenvector with the shift just
-    below its Rayleigh quotient on V; a start that is not positive everywhere
-    is refused, since it can hold the shift between higher eigenvalues.
+    (keeping the matrix positive definite).  Given an approximate ground state
+    as `start` (the eigenvector of a nearby potential, or a transformed slab
+    wave), it starts from that vector with the shift just below its Rayleigh
+    quotient on V; a start that is not positive everywhere is refused, since it
+    can hold the shift between higher eigenvalues.
     Either way the shift is pulled toward the running Rayleigh quotient once
     the iterate settles, which restores fast convergence when the spectral gap
-    is small; the sign check on the result rejects an iteration drawn to a
-    higher eigenpair.
+    is small.  Every shift must stay below lambda_0: the positive definite
+    factorization is an exact inertia test, and a shift past lambda_0 raises
+    LinAlgError, as does a result that changes sign.
     """
     dx = V.grid.dx
     main, off = 2.0 / dx**2 - V.values[:-1], -1.0 / dx**2  # -D2 - V, periodic nodes
@@ -122,11 +132,11 @@ def principal_eigenpair(V: Field, start: EigenPair | None = None) -> EigenPair:
         shift = float(np.min(-V.values)) - 1.0
         x = np.full(main.size, 1.0 / np.sqrt(main.size))
     else:
-        if start.phi.grid != V.grid:
-            raise ValueError("start eigenpair and potential must share a grid")
-        if np.min(start.phi.values) <= 0.0:
+        if start.grid != V.grid:
+            raise ValueError("start vector and potential must share a grid")
+        if np.min(start.values) <= 0.0:
             raise ValueError("start eigenvector must be positive")
-        x = start.phi.values[:-1] / np.linalg.norm(start.phi.values[:-1])
+        x = start.values[:-1] / np.linalg.norm(start.values[:-1])
         lam = _quad_form(x, V, difference)
         shift = lam - max(residual(x, lam), 1e-8)
     solve = _periodic_solver(main - shift, off)
@@ -190,6 +200,16 @@ def slab_drift(sol: SlabSolution) -> tuple[Field, Field]:
     return v, vx
 
 
+def _exponent(c: float, v: Field) -> np.ndarray:
+    """(c/2)x - (1/2) int_0^x v, the logarithm of the factor that takes u to w."""
+    grid = v.grid
+    vals = v.values
+    integral = np.zeros(grid.n)
+    np.cumsum(np.diff(grid.x) * (vals[1:] + vals[:-1]) / 2.0, out=integral[1:])  # trapezoid rule
+    integral -= integral[grid.index_of(0.0)]
+    return 0.5 * c * grid.x - 0.5 * integral
+
+
 def transform_to_w(sol: SlabSolution) -> TransformedProfile:
     """w = u exp{(c/2)x - (1/2) int_0^x v}, with the equation residual.
 
@@ -200,12 +220,7 @@ def transform_to_w(sol: SlabSolution) -> TransformedProfile:
         raise ValueError("slab solution is not converged")
     v, vx = slab_drift(sol)
     grid = sol.u.grid
-    i0 = grid.index_of(0.0)
-    vals = v.values
-    integral = np.zeros(grid.n)
-    np.cumsum(np.diff(grid.x) * (vals[1:] + vals[:-1]) / 2.0, out=integral[1:])  # trapezoid rule
-    integral -= integral[i0]
-    exponent = 0.5 * sol.c * grid.x - 0.5 * integral
+    exponent = _exponent(sol.c, v)
     if np.max(exponent) > 700.0:
         raise OverflowError("integrating factor overflows")
     w_vals = sol.u.values * np.exp(exponent)
@@ -260,12 +275,19 @@ def slow_regime_certificate(sol: SlabSolution) -> CertificateReport:
             applicable=False, reason="slab solution not converged", a=a, entries=[]
         )
     v, vx = slab_drift(sol)
+    # for c_test near c the transformed wave w is nearly the ground state; it
+    # is exponentiated from its logarithm scaled to a largest value of 1, so it
+    # cannot overflow for any a, and floored so it stays positive where u
+    # vanishes or the factor underflows
+    with np.errstate(divide="ignore"):
+        log_w = np.log(sol.u.values) + _exponent(sol.c, v)
+    start = Field(sol.u.grid, np.maximum(np.exp(log_w - np.max(log_w)), np.finfo(float).tiny))
     entries = []
-    pair = None
     for c_test in CERTIFICATE_SPEEDS:
         pot = assemble_potential(sol.u, c_test, v, vx)
         # neighbouring test speeds give nearby potentials: each pair starts the next
-        pair = principal_eigenpair(pot, start=pair)
+        pair = principal_eigenpair(pot, start=start)
+        start = pair.phi
         entries.append(
             {"c_test": c_test, "lambda": pair.lam, "phi0": pair.phi_at(0.0)}
         )

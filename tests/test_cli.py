@@ -223,6 +223,13 @@ def test_invalid_parameters_exit_two():
     assert run(["check", "--input", "/nonexistent.csv", "--chi", "0", "--sigma", "1"]) == EXIT_CONFIG
 
 
+def test_non_finite_parameters_exit_two(out_dir, capsys):
+    # --sigma inf used to end in an internal ZeroDivisionError (exit 4)
+    for argv in (["slab", "--sigma", "inf", "--a", "20"], ["slab", "--chi=nan"], ["eigen", "--sigma", "nan"]):
+        assert run(argv) == EXIT_CONFIG
+        assert "chi and sigma must be finite" in capsys.readouterr().err
+
+
 def test_config_file_merges_defaults(out_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"chi": -0.05, "a": 40.0, "out": "from_config.csv"}))

@@ -159,6 +159,15 @@ def test_chemo_params_standing_assumption():
         ChemoParams(0.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "chi, sigma", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.0, np.nan), (0.0, np.inf), (-0.05, np.inf)]
+)
+def test_chemo_params_refuses_non_finite_values(chi, sigma):
+    # nan and inf slip past the order comparisons of the standing assumption
+    with pytest.raises(ValueError, match="chi and sigma must be finite"):
+        ChemoParams(chi, sigma)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_default_tail_cutoff_is_negligible(spec):
     assert float(kbar(spec, spec.tail_cutoff)) <= 1.1e-14

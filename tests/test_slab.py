@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from chemofront.kernels import ChemoParams, KernelSpec
 from chemofront import slab
 from chemofront.slab import (
     SlabConfig,
+    SlabSolution,
     _bvp_residual,
     _frozen_advection,
     fixed_point,
@@ -180,3 +183,42 @@ def test_sign_changing_root_is_not_converged(chi):
     assert not cert.applicable
     assert cert.reason == "slab solution not converged"
     assert not cert.passed
+
+
+def test_fkpp_stage_is_solved_once_per_slab_grid():
+    # with chi = 0 the Newton reads neither sigma nor the kernel, so waves of
+    # any coupling on one (a, dx, theta) grid share the tau = 0 solve
+    slab._fkpp_wave.cache_clear()
+    first = fixed_point(SlabConfig(a=40.0, params=ChemoParams(-0.05, 1.0), spec=EXP))
+    second = fixed_point(SlabConfig(a=40.0, params=ChemoParams(0.03, 0.7), spec=EXP))
+    info = slab._fkpp_wave.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first.tau_path[0] == second.tau_path[0]
+    assert first.converged and second.converged
+
+
+@pytest.mark.parametrize("chi", [0.0, -0.05])
+def test_cached_fkpp_wave_gives_the_cold_solution(chi):
+    config = SlabConfig(a=40.0, params=ChemoParams(chi, 1.0), spec=EXP)
+    slab._fkpp_wave.cache_clear()
+    cold = fixed_point(config)
+    cached = fixed_point(config)
+    assert slab._fkpp_wave.cache_info().hits == 1
+    for field in fields(SlabSolution):
+        if field.name == "u":
+            assert np.array_equal(cold.u.values, cached.u.values)
+            assert (cold.u.left_ext, cold.u.right_ext) == (cached.u.left_ext, cached.u.right_ext)
+        else:
+            assert getattr(cold, field.name) == getattr(cached, field.name), field.name
+
+
+def test_writing_the_profile_leaves_the_next_solve_unchanged():
+    # at chi = 0 the jump returns the tau = 0 wave itself: it must be a copy
+    config = SlabConfig(a=40.0, params=ChemoParams(0.0, 1.0), spec=EXP)
+    first = fixed_point(config)
+    expected = first.u.values.copy()
+    first.u.values[:] = 0.5
+    again = fixed_point(config)
+    assert np.array_equal(again.u.values, expected)
+    assert again.u.values.flags.writeable
+    assert not np.shares_memory(again.u.values, slab._fkpp_wave(config.a, config.dx, config.theta)[0])

@@ -4,7 +4,7 @@ import pytest
 from chemofront import spectral
 from chemofront.grids import Field, Grid1D, constant_field, periodic_difference
 from chemofront.kernels import ChemoParams, KernelSpec
-from chemofront.slab import SlabConfig, fixed_point
+from chemofront.slab import SlabConfig, SlabSolution, fixed_point
 from chemofront.spectral import (
     CERTIFICATE_SPEEDS,
     _periodic_solver,
@@ -100,6 +100,19 @@ def test_constant_potential_eigenvalue_is_exact():
     assert eigen_residual(pair, pot) < 1e-10
 
 
+def test_periodic_solver_refuses_indefinite_matrices():
+    # the ring -D2 - shift (dx = 1) has eigenvalues 2 - 2 cos(2 pi k/m) - shift:
+    # past lambda_0 = -shift it is refused, whether the factorization of T fails
+    # (shifts 0.5 lam_1, 0.5 and 3, a negative diagonal) or the Sherman-Morrison
+    # denominator turns negative (1e-3)
+    m, off = 64, -1.0
+    lam1 = 2.0 - 2.0 * np.cos(2.0 * np.pi / m)
+    for shift in (0.5 * lam1, 1e-3, 0.5, 3.0):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            _periodic_solver(np.full(m, 2.0 - shift), off)
+    _periodic_solver(np.full(m, 2.0 + 1e-3), off)  # just below lambda_0: accepted
+
+
 def test_periodic_solver_matches_dense_solve():
     rng = np.random.default_rng(11)
     for m in (3, 8, 257):
@@ -135,11 +148,55 @@ def test_warm_start_matches_cold_solve_on_certificate_potentials(wave, request):
     pair = principal_eigenpair(assemble_potential(sol.u, CERTIFICATE_SPEEDS[0], v, vx))
     for c_test in CERTIFICATE_SPEEDS[1:]:
         pot = assemble_potential(sol.u, c_test, v, vx)
-        pair = principal_eigenpair(pot, start=pair)
+        pair = principal_eigenpair(pot, start=pair.phi)
         assert pair.iterations <= 3
         assert pair.lam == pytest.approx(principal_eigenpair(pot).lam, abs=1e-12)
         assert pair.lam == pytest.approx(banded_principal_eigenvalue(pot), abs=1e-10)
         assert np.min(pair.phi.values) > 0.0
+
+
+@pytest.mark.parametrize("wave", ["slab_neutral", "slab_repulsive", "slab_attractive"])
+def test_certificate_starts_from_the_transformed_wave(wave, request, monkeypatch):
+    # w = u exp{(c/2)x - (1/2) int_0^x v} is nearly the ground state at c_test = 2
+    sol = request.getfixturevalue(wave)
+    solves = []
+
+    def recording(V, start=None):
+        pair = principal_eigenpair(V, start)
+        solves.append((V, pair))
+        return pair
+
+    monkeypatch.setattr(spectral, "principal_eigenpair", recording)
+    report = slow_regime_certificate(sol)
+    assert report.passed
+    assert solves[0][1].iterations <= 5  # 18 from the cold start
+    for (pot, pair), entry in zip(solves, report.entries, strict=True):
+        assert entry["lambda"] == pair.lam
+        assert pair.lam == pytest.approx(principal_eigenpair(pot).lam, abs=1e-12)
+        assert pair.lam == pytest.approx(banded_principal_eigenvalue(pot), abs=1e-10)
+
+
+def test_certificate_start_cannot_overflow_on_a_wide_slab(monkeypatch):
+    # at a = 800 the factor e^{ca/2} overflows, so transform_to_w refuses the
+    # wave; the certificate's start is scaled to a largest value of 1 instead
+    config = SlabConfig(a=800.0, params=ChemoParams(-0.005, 2.0), spec=EXP, dx=0.5)
+    vals = np.exp(-np.logaddexp(0.0, config.grid.x))  # 1/(1 + e^x), zero past x ~ 745
+    vals[-1] = 0.0
+    u = Field(config.grid, vals, left_ext=1.0, right_ext=0.0)
+    sol = SlabSolution(c=2.0, u=u, residual=0.0, iterations=0, converged=True, config=config, tau_path=[])
+    with pytest.raises(OverflowError):
+        transform_to_w(sol)
+    starts = []
+
+    def recording(V, start=None):
+        starts.append(start)
+        return principal_eigenpair(V, start)
+
+    monkeypatch.setattr(spectral, "principal_eigenpair", recording)
+    report = slow_regime_certificate(sol)
+    first = starts[0].values
+    assert np.all(np.isfinite(first)) and np.min(first) > 0.0 and np.max(first) == 1.0
+    assert report.applicable and len(report.entries) == 3
 
 
 def test_sign_changing_start_recovers_or_raises(monkeypatch):
@@ -161,7 +218,7 @@ def test_sign_changing_start_recovers_or_raises(monkeypatch):
         spectral, "_periodic_solver", lambda main, off: pytest.fail("solved before refusing the start")
     )
     for y in starts:
-        start = spectral.EigenPair(lam=0.0, phi=Field(grid, np.append(y, y[0])), residual=0.0, iterations=0)
+        start = Field(grid, np.append(y, y[0]))
         with pytest.raises(ValueError, match="start eigenvector must be positive"):
             principal_eigenpair(pot, start=start)
 
