@@ -10,9 +10,10 @@ Four families are supported:
 ``Kbar`` denotes the antiderivative Kbar(x) = -integral_x^inf K(y) dy, which is
 nonnegative, nonincreasing on [0, inf) and satisfies Kbar(0) = 1/2.
 
-scipy's quadrature, root finding and special functions are imported inside
-the functions that use them (the stretched family, ``kbar_inverse``'s root
-finding and ``validate_kernel``), so importing the package does not load them.
+scipy's special functions and root finding are imported inside the functions
+that use them (the stretched family and its ``kbar_inverse``), so importing the
+package does not load them.  ``validate_kernel`` integrates with numpy's
+Gauss-Legendre nodes, not with scipy's quadrature.
 """
 
 from __future__ import annotations
@@ -199,33 +200,37 @@ def kbar_inverse(spec: KernelSpec, w: float) -> float:
 
 
 def _quad_with_tail(spec: KernelSpec, integrand) -> float:
-    """integral_0^tail_cutoff integrand(s) ds, log-substituted on the far tail.
+    """integral_0^tail_cutoff integrand(s) ds by a composite 20-point Gauss-Legendre rule.
 
-    Heavy-tailed families have cutoffs of order 1e7; a single quad over that
-    range misses the mass near the origin, so split at 50 and integrate the
-    remainder in log coordinates.
+    On [0, min(tail_cutoff, 50)] the panels halve toward 0, 40 times, which
+    resolves the s^alpha cusp of the stretched family at the origin.  The
+    heavy-tailed families have cutoffs of up to about 1e11; beyond 50 they get
+    four log-spaced panels per decade.  `integrand` is called once, on the
+    array of all nodes.
     """
-    from scipy.integrate import quad
-
-    split = min(spec.tail_cutoff, 50.0)
-    total, _ = quad(integrand, 0.0, split, limit=400)
-    if spec.tail_cutoff > split:
-        tail, _ = quad(
-            lambda t: integrand(np.exp(t)) * np.exp(t),
-            np.log(split),
-            np.log(spec.tail_cutoff),
-            limit=400,
-        )
-        total += tail
-    return total
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    cutoff = spec.tail_cutoff
+    split = min(cutoff, 50.0)
+    edges = split * np.concatenate(([0.0], 2.0 ** np.arange(-40.0, 1.0)))
+    if cutoff > split:
+        panels = int(np.ceil(4.0 * np.log10(cutoff / split)))
+        edges = np.concatenate((edges, np.geomspace(split, cutoff, panels + 1)[1:]))
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return float(np.sum(half * weights * integrand(lo + half * (1.0 + nodes))))
 
 
 def validate_kernel(spec: KernelSpec) -> BoundsReport:
-    """Quadrature validation of normalization, jump, symmetry and monotonicity."""
+    """Check the kernel's normalization, jump, oddness, half-line monotonicity
+    and first moment.
+
+    The unit mass and the first moment of Kbar are integrated by
+    `_quad_with_tail` (numpy's Gauss-Legendre nodes, no scipy); the mass
+    beyond the truncation radius is Kbar(tail_cutoff) in closed form.
+    """
     report = BoundsReport()
 
     l1 = 2.0 * (
-        _quad_with_tail(spec, lambda s: float(_magnitude(spec, s)))
+        _quad_with_tail(spec, lambda s: _magnitude(spec, s))
         + float(kbar(spec, spec.tail_cutoff))
     )
     report.add("l1-norm", "unit-mass-normalization", abs(l1 - 1.0), 0.0, slack=1e-6)
@@ -241,7 +246,7 @@ def validate_kernel(spec: KernelSpec) -> BoundsReport:
     worst_increase = float(np.max(np.diff(mags)))
     report.add("half-line-monotonicity", "monotone-half-lines", worst_increase, 0.0, slack=1e-15)
 
-    moment = _quad_with_tail(spec, lambda s: (1.0 + s) * float(kbar(spec, s)))
+    moment = _quad_with_tail(spec, lambda s: (1.0 + s) * kbar(spec, s))
     finite = 0.0 if np.isfinite(moment) else np.inf
     report.add("kbar-first-moment", "first-moment-integrable", finite, 0.0, slack=0.0)
     return report

@@ -24,6 +24,7 @@ to homotopy continuation along TAUS from the same tau = 0 wave.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -40,6 +41,11 @@ POLISH_TOL = 1e-12  # residual a converged root with a negative interior node is
 NEWTON_MAX_ITER = 40  # Newton steps allowed per tau stage
 SHAPE_SLACK = 1e-6  # slack of slab_bounds_check's sup, monotonicity and lower-bound rows
 TAUS = tuple(0.1 * k for k in range(11))  # the fallback homotopy from the FKPP slab to the model
+# the coupled Newton step's Krylov solve: an inexact step, which the line search
+# and the next Newton step absorb
+GMRES_RTOL = 1e-4  # ends the solve once ||b - J x|| <= GMRES_RTOL ||b||
+GMRES_RESTART = 40  # Krylov directions per cycle
+GMRES_CYCLES = 5  # restarted cycles allowed
 
 
 def theta_max(params: ChemoParams) -> float:
@@ -105,8 +111,11 @@ def _bands(c: float, v: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, 
 def _seed_profile(config: SlabConfig) -> Field:
     """Decreasing sigmoid with value theta at x=0 and extensions (1, 0)."""
     grid = config.grid
-    shift = np.log(config.theta / (1.0 - config.theta))
-    vals = 1.0 / (1.0 + np.exp(grid.x - shift))
+    t = grid.x - np.log(config.theta / (1.0 - config.theta))
+    # where e^t would overflow, e^-t (the two agree to 1e-304 there)
+    vals = np.where(
+        t <= 700.0, 1.0 / (1.0 + np.exp(np.minimum(t, 700.0))), np.exp(-np.maximum(t, 700.0))
+    )
     vals[0], vals[-1] = 1.0, 0.0
     return Field(grid, vals, left_ext=1.0, right_ext=0.0)
 
@@ -122,6 +131,63 @@ def _bvp_residual(u: np.ndarray, c: float, v: np.ndarray, config: SlabConfig, pi
     F[-2] = u[-1]
     F[-1] = u[pin] - config.theta
     return F
+
+
+def _gmres(apply, b: np.ndarray) -> np.ndarray:
+    """Restarted GMRES for A M^-1 y = b from y = 0, returning the step M^-1 y.
+
+    `apply(v)` returns the pair (A M^-1 v, M^-1 v) as new arrays; the first is
+    orthogonalized in place.  As in flexible GMRES (Saad 1993), the
+    preconditioned directions Z = M^-1 V are kept, so the step is Z y and
+    costs no further M^-1; starting from zero, the first residual is b itself,
+    not a product.  The solve ends when the Givens estimate of
+    ||b - A M^-1 y|| falls to GMRES_RTOL ||b|| or at happy breakdown
+    (H[j+1, j] = 0).  Otherwise a cycle ends after GMRES_RESTART directions
+    and the next starts from the residual V (beta e1 - H y) of the Arnoldi
+    relation, up to GMRES_CYCLES cycles.
+    """
+    restart = GMRES_RESTART
+    target = GMRES_RTOL * np.sqrt(b @ b)
+    x = np.zeros(b.size)
+    r = b
+    for _ in range(GMRES_CYCLES):
+        beta = np.sqrt(r @ r)
+        if beta <= target:
+            break
+        V, Z = [r / beta], []
+        H = np.zeros((restart + 1, restart))  # the Arnoldi Hessenberg matrix
+        R = np.zeros((restart, restart))  # its QR factor, by Givens rotations
+        rotations = []
+        g = [beta]  # Q^T beta e1; |g[j+1]| is the residual norm after j+1 directions
+        for j in range(restart):
+            w, z = apply(V[j])
+            Z.append(z)
+            for i in range(j + 1):  # modified Gram-Schmidt
+                H[i, j] = V[i] @ w
+                w -= H[i, j] * V[i]
+            H[j + 1, j] = np.sqrt(w @ w)
+            col = H[: j + 2, j].tolist()
+            for i, (cs, sn) in enumerate(rotations):
+                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+            rho = math.hypot(col[j], col[j + 1])
+            cs, sn = col[j] / rho, col[j + 1] / rho
+            rotations.append((cs, sn))
+            R[:j, j] = col[:j]
+            R[j, j] = rho
+            g[j], g_next = cs * g[j], -sn * g[j]
+            g.append(g_next)
+            done = H[j + 1, j] == 0.0 or abs(g_next) <= target
+            if done:
+                break
+            V.append(w / H[j + 1, j])
+        coef = np.linalg.solve(R[: j + 1, : j + 1], g[: j + 1])
+        x += coef @ np.array(Z)
+        if done:
+            break
+        in_basis = -(H @ coef)  # beta e1 - H y
+        in_basis[0] += beta
+        r = in_basis @ np.array(V)
+    return x
 
 
 def _newton(
@@ -140,19 +206,20 @@ def _newton(
     at convergence max_{x>=0} u = theta to within the residual; pinning a
     profile value removes the near-singular translation mode that defeats
     plain iteration on u alone.  The Jacobian carries the nonlocal term
-    -(u dv)_x with dv = chi K_sigma * du.  Its step is found by
-    GMRES, right-preconditioned by the frozen-drift tridiagonal-plus-border
-    matrix (Jacobian-free Newton-Krylov); without coupling that bordered
-    solve is the whole step.
+    -(u dv)_x with dv = chi K_sigma * du.  Its step is found by `_gmres`,
+    right-preconditioned by the frozen-drift tridiagonal-plus-border matrix
+    (Jacobian-free Newton-Krylov); without coupling that bordered solve is
+    the whole step.  The residual of the accepted line-search point is the
+    next iteration's, with its pin row recomputed.
     """
     grid = config.grid
     n, dx = grid.n, grid.dx
     i0 = grid.index_of(0.0)
     coupled = config.params.chi != 0.0
     v = _frozen_advection(u, config)
+    pin = i0 + int(np.argmax(u[i0:]))
+    F = _bvp_residual(u, c, v, config, pin)
     for it in range(1, NEWTON_MAX_ITER + 1):
-        pin = i0 + int(np.argmax(u[i0:]))
-        F = _bvp_residual(u, c, v, config, pin)
         nrm = float(np.max(np.abs(F)))
         if nrm < tol:
             return u, c, nrm, it, True
@@ -171,20 +238,15 @@ def _newton(
             return np.append(r1 - dc * r2, dc)
 
         if coupled:
-            # loaded here, not with the module: no other solve uses scipy.sparse
-            from scipy.sparse.linalg import LinearOperator, gmres
 
-            def preconditioned_jacobian(y: np.ndarray) -> np.ndarray:
-                du = bordered_solve(y)[:-1]
-                dv = advection(Field(grid, du), config.spec, config.params).values
+            def preconditioned_jacobian(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                z = bordered_solve(y)
+                dv = advection(Field(grid, z[:-1]), config.spec, config.params).values
                 out = y.copy()
                 out[1:-2] -= (u[2:] * dv[2:] - u[:-2] * dv[:-2]) / (2.0 * dx)
-                return out
+                return out, z
 
-            op = LinearOperator((n + 1, n + 1), matvec=preconditioned_jacobian, dtype=float)
-            # an inexact step: the line search and the next Newton step absorb it
-            y, _ = gmres(op, -F, rtol=1e-4, restart=40, maxiter=5)
-            step_vec = bordered_solve(y)
+            step_vec = _gmres(preconditioned_jacobian, -F)
         else:
             step_vec = bordered_solve(-F)
         du, dc = step_vec[:-1], step_vec[-1]
@@ -192,14 +254,18 @@ def _newton(
         while True:
             u_next, c_next = u + step * du, c + step * dc
             v_next = _frozen_advection(u_next, config)
-            res_next = np.max(np.abs(_bvp_residual(u_next, c_next, v_next, config, pin)))
+            F_next = _bvp_residual(u_next, c_next, v_next, config, pin)
+            res_next = np.max(np.abs(F_next))
             if trial and it == 1 and res_next > 0.5 * nrm:
                 return u, c, nrm, it, False
             if res_next < nrm or step <= 1e-8:
                 break
             step *= 0.5
-        u, c, v = u_next, c_next, v_next
-    return u, c, float(np.max(np.abs(_bvp_residual(u, c, v, config, pin)))), it, False
+        u, c, v, F = u_next, c_next, v_next, F_next
+        # the accepted trial's residual is the next one: only the pin row moves with the pin
+        pin = i0 + int(np.argmax(u[i0:]))
+        F[-1] = u[pin] - config.theta
+    return u, c, float(np.max(np.abs(F))), it, False
 
 
 def _positive_interior(u: np.ndarray) -> bool:

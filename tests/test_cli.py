@@ -293,16 +293,26 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
 def test_cli_import_skips_unused_scipy_modules():
     # scipy.signal alone used to take about half of the CLI's start-up time; the
     # FFT comes from numpy, quadrature, root finding and special functions
-    # load only when a stretched kernel, kbar_inverse or validate_kernel asks,
-    # and scipy.sparse only when a coupled slab Newton step runs GMRES
+    # load only when a stretched kernel asks; the slab's GMRES and
+    # validate_kernel's quadrature are the package's own, so a coupled slab
+    # solve and an exp kernel check load none of sparse, integrate or optimize
     unused = [
         "scipy.signal", "scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.special",
         "scipy.sparse",
     ]
+    after_work = ["scipy.sparse", "scipy.integrate", "scipy.optimize"]
     src = str(Path(chemofront.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = f"import sys, chemofront.cli; print([m for m in {unused!r} if m in sys.modules])"
+    code = f"""
+import sys, chemofront.cli
+print([m for m in {unused!r} if m in sys.modules])
+from chemofront.kernels import ChemoParams, KernelSpec, validate_kernel
+from chemofront.slab import SlabConfig, fixed_point
+assert fixed_point(SlabConfig(20.0, ChemoParams(-0.05, 1.0), KernelSpec("exp"), dx=0.2)).converged
+assert validate_kernel(KernelSpec("exp")).all_passed
+print([m for m in {after_work!r} if m in sys.modules])
+"""
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split("\n")[:2] == ["[]", "[]"]

@@ -222,3 +222,86 @@ def test_writing_the_profile_leaves_the_next_solve_unchanged():
     assert np.array_equal(again.u.values, expected)
     assert again.u.values.flags.writeable
     assert not np.shares_memory(again.u.values, slab._fkpp_wave(config.a, config.dx, config.theta)[0])
+
+
+def _counted(A, m):
+    # the operator `_gmres` expects: y -> (A M^-1 y, M^-1 y) with M = diag(m),
+    # recording every vector it is applied to
+    calls = []
+
+    def apply(y):
+        calls.append(y.copy())
+        z = y / m
+        return A @ z, z
+
+    return apply, calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gmres_matches_dense_solve(seed):
+    rng = np.random.default_rng(seed)
+    n = 30
+    A = np.diag(rng.uniform(1.0, 3.0, n)) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    apply, calls = _counted(A, np.diag(A))
+    x = slab._gmres(apply, b)
+    assert np.linalg.norm(b - A @ x) <= slab.GMRES_RTOL * np.linalg.norm(b)
+    exact = np.linalg.solve(A, b)
+    assert np.linalg.norm(x - exact) <= 1e-3 * np.linalg.norm(exact)
+    assert len(calls) < slab.GMRES_RESTART
+
+
+def test_gmres_restarts_from_the_arnoldi_residual(monkeypatch):
+    # three directions per cycle cannot reach the tolerance: the later cycles
+    # start from V (beta e1 - H y), and the true residual still meets it
+    monkeypatch.setattr(slab, "GMRES_RESTART", 3)
+    rng = np.random.default_rng(7)
+    n = 40
+    A = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    apply, calls = _counted(A, np.ones(n))
+    x = slab._gmres(apply, b)
+    assert len(calls) > 3
+    assert np.linalg.norm(b - A @ x) <= slab.GMRES_RTOL * np.linalg.norm(b)
+
+
+def test_gmres_applies_the_operator_once_per_krylov_direction(monkeypatch):
+    # four distinct eigenvalues: the Krylov space is exhausted (happy
+    # breakdown) after four directions, each one operator application, and
+    # none is spent on the zero start; the breakdown falls on the cycle's last
+    # direction, so it must end the solve rather than start another cycle
+    monkeypatch.setattr(slab, "GMRES_RTOL", 1e-14)
+    monkeypatch.setattr(slab, "GMRES_RESTART", 4)
+    rng = np.random.default_rng(3)
+    A = np.diag(np.repeat([1.0, 2.0, 4.0, 8.0], 5))
+    b = rng.standard_normal(20)
+    apply, calls = _counted(A, np.full(20, 2.0))
+    x = slab._gmres(apply, b)
+    assert len(calls) == 4
+    assert all(np.linalg.norm(y) > 0.0 for y in calls)
+    assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-12, atol=0.0)
+
+
+def test_coupled_solve_never_convolves_a_zero_field(monkeypatch):
+    real = slab.advection
+
+    def checked(field, spec, params):
+        assert np.any(field.values != 0.0), "advection of an all-zero field"
+        return real(field, spec, params)
+
+    monkeypatch.setattr(slab, "advection", checked)
+    sol = fixed_point(SlabConfig(a=40.0, params=ChemoParams(-0.05, 1.0), spec=EXP))
+    assert sol.converged
+
+
+def test_seed_profile_on_a_wide_slab_does_not_overflow():
+    # at a = 800, x - shift reaches ~805: 1/(1 + e^t) would overflow there
+    # (a RuntimeWarning, an error under this suite's settings)
+    config = SlabConfig(a=800.0, params=ChemoParams(-0.05, 4.0), spec=EXP, dx=0.5)
+    vals = slab._seed_profile(config).values
+    t = config.grid.x - np.log(config.theta / (1.0 - config.theta))
+    with np.errstate(over="ignore"):
+        plain = 1.0 / (1.0 + np.exp(t))
+    # bitwise where 1/(1 + e^t) is finite, so no pinned speed moves
+    assert np.array_equal(vals[t <= 700.0], plain[t <= 700.0])
+    assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) <= 0.0)

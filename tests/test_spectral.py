@@ -385,3 +385,21 @@ def test_stagnated_inverse_iteration_raises_linalg_error(monkeypatch):
     V = Field(grid, np.cos(2.0 * np.pi * grid.x / 10.0))
     with pytest.raises(np.linalg.LinAlgError, match="stagnated"):
         principal_eigenpair(V)
+
+
+@pytest.mark.parametrize("chi", [-0.05, -1.0])
+def test_eigenvalue_gate_fails_outside_the_slow_regime(chi):
+    # negative control for the certificate's first gate (lambda >= -1e-8): at
+    # sigma = 200, far past the hypothesis |chi|(1/sigma + sigma^2) <= 0.1, the
+    # principal eigenvalue at c_test = 2 is clearly negative (measured -1.87e-2
+    # at chi = -0.05 and -0.396 at chi = -1), so the gate would refuse the
+    # wave; the public certificate does not apply to it at all
+    sol = fixed_point(SlabConfig(a=60.0, params=ChemoParams(chi, 200.0), spec=EXP))
+    assert sol.converged
+    v, vx = slab_drift(sol)
+    pair = principal_eigenpair(assemble_potential(sol.u, 2.0, v, vx))
+    assert pair.lam < -1e-8
+    entry = {"c_test": 2.0, "lambda": pair.lam, "phi0": pair.phi_at(0.0)}
+    assert not spectral.CertificateReport(True, "", sol.config.a, [entry]).passed
+    report = slow_regime_certificate(sol)
+    assert not report.applicable and not report.passed
