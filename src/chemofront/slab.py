@@ -13,19 +13,21 @@ the solution of the frozen-coefficient linear problem
 
 has the wave as its fixed point.  That fixed point is computed by one Newton
 method on (u, c) jointly, with the normalization as the extra equation and the
-nonlocal drift in the Jacobian.  Homotopy stage tau solves the model at
-coupling tau*chi.  The pure FKPP slab (tau = 0) is solved first, once per
-(a, dx, theta): it reads neither chi nor the kernel.  From its wave one trial
-solve jumps straight to the model (tau = 1).  The trial is rejected
-unless its first full Newton step at least halves the max-norm residual
-(Deuflhard's monotonicity test, theta <= 1/2), and a rejected trial falls back
-to homotopy continuation along TAUS from the same tau = 0 wave.
+nonlocal drift in the Jacobian.  The pure FKPP slab (tau = 0, coupling 0) is
+solved first, once per (a, dx, theta): it reads neither chi nor the kernel.
+From its wave one trial solve jumps straight to the model (tau = 1).  The
+trial is rejected unless its first full Newton step at least halves the
+max-norm residual (Deuflhard's monotonicity test, theta <= 1/2).  A rejected
+trial, or one whose root is not positive, falls back to pseudo-transient
+continuation from the same tau = 0 wave (Kelley & Keyes 1998, SIAM J. Numer.
+Anal. 35:508): Newton steps on the pseudo-time flow u_t = F(u), whose steps
+keep every interior value positive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,11 +38,10 @@ from .grids import Field, Grid1D, tridiagonal_solver
 from .kernels import ChemoParams, KernelSpec
 from .reports import BoundsReport
 
-NEWTON_TOL = 1e-10  # max-norm residual that ends a tau stage
-POLISH_TOL = 1e-12  # residual a converged root with a negative interior node is refined to
-NEWTON_MAX_ITER = 40  # Newton steps allowed per tau stage
+NEWTON_TOL = 1e-10  # max-norm residual that ends a Newton solve
+NEWTON_MAX_ITER = 80  # steps allowed per solve (the slowest pseudo-transient fallbacks take ~65)
+PTC_DELTA0 = 0.1  # first pseudo-time step of the fallback
 SHAPE_SLACK = 1e-6  # slack of slab_bounds_check's sup, monotonicity and lower-bound rows
-TAUS = tuple(0.1 * k for k in range(11))  # the fallback homotopy from the FKPP slab to the model
 # the coupled Newton step's Krylov solve: an inexact step, which the line search
 # and the next Newton step absorb
 GMRES_RTOL = 1e-4  # ends the solve once ||b - J x|| <= GMRES_RTOL ||b||
@@ -82,7 +83,7 @@ class SlabSolution:
     iterations: int
     converged: bool
     config: SlabConfig
-    tau_path: list[tuple[float, float]]  # (tau, c) along the homotopy
+    tau_path: list[tuple[float, float]]  # (tau, c): the FKPP stage (0) and the model (1)
 
 
 def _frozen_advection(u_vals: np.ndarray, config: SlabConfig) -> np.ndarray:
@@ -194,8 +195,8 @@ def _newton(
     u: np.ndarray,
     c: float,
     config: SlabConfig,
-    tol: float = NEWTON_TOL,
     trial: bool = False,
+    delta: float = math.inf,
 ) -> tuple[np.ndarray, float, float, int, bool]:
     """Newton on the slab equations augmented with u[pin] = theta.
 
@@ -211,20 +212,31 @@ def _newton(
     (Jacobian-free Newton-Krylov); without coupling that bordered solve is
     the whole step.  The residual of the accepted line-search point is the
     next iteration's, with its pin row recomputed.
+
+    A finite `delta` makes the solve pseudo-transient continuation: the PDE
+    rows get -1/delta on their diagonal (the boundary and pin rows stay
+    algebraic, the DAE form of Coffey, Kelley & Keyes 2003), delta grows by
+    switched evolution relaxation, delta <- delta ||F_prev|| / ||F||, and
+    there is no line search.  A node the step lowers moves to u exp(du/u)
+    instead of u + du, so a positive profile stays positive (but for a value
+    below the smallest double, which underflows to 0 and is only raised
+    after).  With delta = inf the diagonal term is 1/inf = 0 and the step is
+    plain Newton.
     """
     grid = config.grid
     n, dx = grid.n, grid.dx
     i0 = grid.index_of(0.0)
     coupled = config.params.chi != 0.0
+    pseudo = delta < math.inf
     v = _frozen_advection(u, config)
     pin = i0 + int(np.argmax(u[i0:]))
     F = _bvp_residual(u, c, v, config, pin)
     for it in range(1, NEWTON_MAX_ITER + 1):
         nrm = float(np.max(np.abs(F)))
-        if nrm < tol:
+        if nrm < NEWTON_TOL:
             return u, c, nrm, it, True
         lower, main, upper = _bands(c, v, dx)
-        main[1:-1] += 1.0 - 2.0 * u[1:-1]
+        main[1:-1] += 1.0 - 1.0 / delta - 2.0 * u[1:-1]
         solve = tridiagonal_solver(lower, main, upper)
         dFdc = np.zeros(n)
         dFdc[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
@@ -253,14 +265,21 @@ def _newton(
         step = 1.0
         while True:
             u_next, c_next = u + step * du, c + step * dc
+            if pseudo:
+                # a node that exp underflowed to 0 on an earlier step can only be raised
+                inner, d = u[1:-1], du[1:-1]
+                ratio = np.divide(d, inner, out=np.zeros_like(d), where=(d < 0.0) & (inner > 0.0))
+                u_next[1:-1] = inner * np.exp(ratio) + np.maximum(d, 0.0)
             v_next = _frozen_advection(u_next, config)
             F_next = _bvp_residual(u_next, c_next, v_next, config, pin)
             res_next = np.max(np.abs(F_next))
             if trial and it == 1 and res_next > 0.5 * nrm:
                 return u, c, nrm, it, False
-            if res_next < nrm or step <= 1e-8:
+            if pseudo or res_next < nrm or step <= 1e-8:
                 break
             step *= 0.5
+        if pseudo:
+            delta *= nrm / res_next
         u, c, v, F = u_next, c_next, v_next, F_next
         # the accepted trial's residual is the next one: only the pin row moves with the pin
         pin = i0 + int(np.argmax(u[i0:]))
@@ -288,45 +307,30 @@ def _fkpp_wave(a: float, dx: float, theta: float) -> tuple[np.ndarray, float, fl
 
 def fixed_point(config: SlabConfig) -> SlabSolution:
     """Solve the slab problem at tau = 0 (the FKPP limit, shared by every call
-    on the same slab grid through `_fkpp_wave`), then by one trial
-    Newton solve at tau = 1 (the model) from that wave; stage tau solves the
-    model at coupling tau*chi.
+    on the same slab grid through `_fkpp_wave`), then by one trial Newton
+    solve at tau = 1 (the model) from that wave.
 
     The trial is rejected unless its first full step at least halves the
-    residual; a rejected or unconverged trial falls back to continuation along
-    TAUS from the same tau = 0 wave, each converged pair seeding the next
-    stage.  On non-convergence the best iterate is returned flagged, not
-    raised; so is a root that is not positive at every interior node (a
-    sign-changing solution of the slab equations, not a wave).
+    residual.  A rejected or unconverged trial, or one whose root is not
+    positive at every interior node, falls back to pseudo-transient
+    continuation from the same tau = 0 wave, starting at pseudo-time step
+    PTC_DELTA0; its steps keep that wave's positivity.  A tau = 0 wave that is
+    not positive itself has no fallback.  On non-convergence the best iterate
+    is returned flagged, not raised; so is a root that is not positive at
+    every interior node (a sign-changing solution of the slab equations, not
+    a wave).
     """
-    chi, sigma = config.params.chi, config.params.sigma
-
-    def stage(tau: float) -> SlabConfig:
-        return replace(config, params=ChemoParams(tau * chi, sigma))
-
     u, c, residual, total_iters, ok = _fkpp_wave(config.a, config.dx, config.theta)
     u = u.copy()
     path = [(0.0, c)]
     if ok:
-        u_jump, c_jump, residual, iters, ok = _newton(u, c, config, trial=True)
+        u_fkpp, c_fkpp = u, c
+        u, c, residual, iters, ok = _newton(u_fkpp, c_fkpp, config, trial=True)
         total_iters += iters
-        if ok:
-            u, c = u_jump, c_jump
-            path.append((1.0, c))
-        else:
-            for tau in TAUS[1:]:
-                u, c, residual, iters, ok = _newton(u, c, stage(tau))
-                total_iters += iters
-                path.append((tau, c))
-                if not ok:
-                    break
-    tau = path[-1][0]
-    if ok and not _positive_interior(u):
-        # where the profile has decayed below the inexact Newton step's error,
-        # a root can dip below zero: refine it before judging its sign
-        u, c, residual, iters, ok = _newton(u, c, stage(tau), POLISH_TOL)
-        total_iters += iters
-        path[-1] = (tau, c)
+        if not (ok and _positive_interior(u)) and _positive_interior(u_fkpp):
+            u, c, residual, iters, ok = _newton(u_fkpp, c_fkpp, config, delta=PTC_DELTA0)
+            total_iters += iters
+        path.append((1.0, c))
     ok = ok and _positive_interior(u)
     return SlabSolution(
         c=c,

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -15,6 +16,7 @@ from chemofront.slab import (
     slab_bounds_check,
     theta_max,
 )
+from chemofront.scan import speed_upper_bound
 from chemofront.spectral import slow_regime_certificate
 
 EXP = KernelSpec("exp")
@@ -137,15 +139,36 @@ def test_uncoupled_solve_makes_no_convolution(monkeypatch):
     assert sol.c == pytest.approx(REFERENCE_SPEEDS[(0.0, 1.0)], abs=1e-9)
 
 
-def test_fast_regime_wave_converges():
+def _newton_calls(monkeypatch):
+    # the (trial, delta, converged) of every `_newton` call, in order
+    calls = []
+    real = slab._newton
+
+    def spy(u, c, config, trial=False, delta=math.inf):
+        out = real(u, c, config, trial, delta)
+        calls.append((trial, delta, out[4]))
+        return out
+
+    monkeypatch.setattr(slab, "_newton", spy)
+    return calls
+
+
+# the trial is rejected on its first step, then pseudo-transient continuation converges
+REJECTED_THEN_PTC = [(True, math.inf, False), (False, slab.PTC_DELTA0, True)]
+
+
+def test_fast_regime_wave_converges(monkeypatch):
     config = SlabConfig(a=60.0, params=ChemoParams(-20.0, 200.0), spec=EXP)
+    calls = _newton_calls(monkeypatch)
     sol = fixed_point(config)
     assert sol.converged
     # strong coupling: the first full step of the jump to tau = 1 does not
-    # halve the residual, so the trial is rejected and TAUS is followed instead
-    assert [tau for tau, _ in sol.tau_path] == [0.0, *slab.TAUS[1:]]
+    # halve the residual, so the trial is rejected and the pseudo-transient
+    # fallback runs from the tau = 0 wave instead
+    assert calls[-2:] == REJECTED_THEN_PTC
+    assert [tau for tau, _ in sol.tau_path] == [0.0, 1.0]
     assert sol.c == pytest.approx(11.53654557283846, abs=1e-8)
-    # its tail falls below the first Newton solve's error; refined, it is positive
+    # its tail lies below the Newton step's rounding; the positive pseudo-steps keep it positive
     assert np.min(sol.u.values[1:-1]) > 0.0
 
 
@@ -160,14 +183,36 @@ def test_wide_weak_wave_follows_the_tau_homotopy():
     assert sol.c == pytest.approx(2.0182352163168034, abs=1e-8)
 
 
-def test_fast_tophat_wave_rejects_the_trial_and_follows_taus():
+def test_fast_tophat_wave_rejects_the_trial_and_falls_back(monkeypatch):
     # the FFT drift path of the fallback: the jump's first full step does not
-    # halve the residual, so the solve continues along TAUS from tau = 0
+    # halve the residual, so pseudo-transient continuation runs from tau = 0
     config = SlabConfig(a=60.0, params=ChemoParams(-20.0, 200.0), spec=KernelSpec("tophat"))
+    calls = _newton_calls(monkeypatch)
     sol = fixed_point(config)
     assert sol.converged
-    assert [tau for tau, _ in sol.tau_path] == [0.0, *slab.TAUS[1:]]
+    assert calls[-2:] == REJECTED_THEN_PTC
+    assert [tau for tau, _ in sol.tau_path] == [0.0, 1.0]
     assert sol.c == pytest.approx(11.505194541100446, abs=1e-8)
+    assert np.min(sol.u.values[1:-1]) > 0.0
+
+
+@pytest.mark.parametrize(
+    "kernel, chi, sigma, c_min",
+    [
+        # roots that changed sign inside the front under the tau homotopy
+        # (u down to -6.2e-2, c = 2.16483, 1.99615 and 3.01639)
+        ("exp", -2.0, 10.0, 2.4),
+        ("tophat", -2.0, 10.0, 2.3),
+        ("tophat", -5.0, 20.0, 3.5),
+        # a homotopy that stalled at tau = 0.1
+        ("exp", -40.0, 200.0, 21.0),
+    ],
+)
+def test_repulsive_waves_are_positive_and_below_the_upper_bound(kernel, chi, sigma, c_min):
+    sol = fixed_point(SlabConfig(a=60.0, params=ChemoParams(chi, sigma), spec=KernelSpec(kernel)))
+    assert sol.converged
+    assert np.min(sol.u.values[1:-1]) > 0.0
+    assert c_min <= sol.c <= speed_upper_bound(chi, sigma)
 
 
 @pytest.mark.parametrize("chi", [0.0, -0.05])
