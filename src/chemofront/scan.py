@@ -19,7 +19,7 @@ import numpy as np
 from .evolver import EvolveConfig, evolve, measure_speed
 from .grids import Grid1D
 from .kernels import ChemoParams, KernelSpec
-from .slab import SlabConfig, fixed_point
+from .slab import SlabConfig, fixed_point, slab_bounds_check
 from .spectral import slow_predicate, slow_regime_certificate
 
 SLOW_PREDICATE_GATE = 0.15
@@ -30,7 +30,7 @@ SANDWICH_SLACK = 0.05  # allowance of sandwich_table on both speed bounds
 EVOLVE_T_MAX = 150.0  # longest time-dependent run of an evolve cell
 
 # flags that fail a scan even when the cell still has a speed
-FAILURE_FLAGS = ("slab-not-converged", "certificate-failed", "evolve-error")
+FAILURE_FLAGS = ("slab-not-converged", "slab-bounds-failed", "certificate-failed", "evolve-error")
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,8 @@ def _run_cell(args: tuple) -> RegimeRecord:
             )
             if sol.converged:
                 record.c_slab = sol.c
+                for check in slab_bounds_check(sol).failures():
+                    record.flags.append(f"slab-bounds-failed: {check.name}")
                 cert = slow_regime_certificate(sol)
                 if cert.applicable:
                     record.lambda_cert = cert.entries[0]["lambda"]

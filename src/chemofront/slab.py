@@ -14,14 +14,13 @@ the solution of the frozen-coefficient linear problem
 has the wave as its fixed point.  That fixed point is computed by one Newton
 method on (u, c) jointly, with the normalization as the extra equation and the
 nonlocal drift in the Jacobian.  The pure FKPP slab (tau = 0, coupling 0) is
-solved first, once per (a, dx, theta): it reads neither chi nor the kernel.
-From its wave one trial solve jumps straight to the model (tau = 1).  The
-trial is rejected unless its first full Newton step at least halves the
-max-norm residual (Deuflhard's monotonicity test, theta <= 1/2).  A rejected
-trial, or one whose root is not positive, falls back to pseudo-transient
-continuation from the same tau = 0 wave (Kelley & Keyes 1998, SIAM J. Numer.
-Anal. 35:508): Newton steps on the pseudo-time flow u_t = F(u), whose steps
-keep every interior value positive.
+solved first, once per (a, dx, theta), from a sigmoid seed: it reads neither
+chi nor the kernel.  The model (tau = 1) is then solved from its wave.  Both
+stages are one procedure: full Newton steps while each lowers the max-norm
+residual; if one does not, or the root is not positive, pseudo-transient
+continuation from the same start (Kelley & Keyes 1998, SIAM J. Numer. Anal.
+35:508): Newton steps on the pseudo-time flow u_t = F(u), whose steps keep
+every interior value positive.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ NEWTON_TOL = 1e-10  # max-norm residual that ends a Newton solve
 NEWTON_MAX_ITER = 80  # steps allowed per solve (the slowest pseudo-transient fallbacks take ~65)
 PTC_DELTA0 = 0.1  # first pseudo-time step of the fallback
 SHAPE_SLACK = 1e-6  # slack of slab_bounds_check's sup, monotonicity and lower-bound rows
-# the coupled Newton step's Krylov solve: an inexact step, which the line search
-# and the next Newton step absorb
+# the coupled Newton step's Krylov solve: an inexact step, which the next Newton
+# step absorbs
 GMRES_RTOL = 1e-4  # ends the solve once ||b - J x|| <= GMRES_RTOL ||b||
 GMRES_RESTART = 40  # Krylov directions per cycle
 GMRES_CYCLES = 5  # restarted cycles allowed
@@ -195,13 +194,13 @@ def _newton(
     u: np.ndarray,
     c: float,
     config: SlabConfig,
-    trial: bool = False,
     delta: float = math.inf,
 ) -> tuple[np.ndarray, float, float, int, bool]:
     """Newton on the slab equations augmented with u[pin] = theta.
 
-    A `trial` solve gives up, unconverged, after one step unless that first
-    full step at least halves the max-norm residual.
+    Every step is a full step.  With delta = inf (plain Newton) the solve
+    stops, unconverged, at the first step that does not lower the max-norm
+    residual, and returns the iterate before it.
 
     The normalization is pinned at the running argmax of the right half, so
     at convergence max_{x>=0} u = theta to within the residual; pinning a
@@ -210,18 +209,18 @@ def _newton(
     -(u dv)_x with dv = chi K_sigma * du.  Its step is found by `_gmres`,
     right-preconditioned by the frozen-drift tridiagonal-plus-border matrix
     (Jacobian-free Newton-Krylov); without coupling that bordered solve is
-    the whole step.  The residual of the accepted line-search point is the
-    next iteration's, with its pin row recomputed.
+    the whole step.  The residual of each step's result is the next
+    iteration's, with its pin row recomputed.
 
     A finite `delta` makes the solve pseudo-transient continuation: the PDE
     rows get -1/delta on their diagonal (the boundary and pin rows stay
     algebraic, the DAE form of Coffey, Kelley & Keyes 2003), delta grows by
-    switched evolution relaxation, delta <- delta ||F_prev|| / ||F||, and
-    there is no line search.  A node the step lowers moves to u exp(du/u)
-    instead of u + du, so a positive profile stays positive (but for a value
-    below the smallest double, which underflows to 0 and is only raised
-    after).  With delta = inf the diagonal term is 1/inf = 0 and the step is
-    plain Newton.
+    switched evolution relaxation, delta <- delta ||F_prev|| / ||F||, and a
+    step that raises the residual is kept.  A node the step lowers moves to
+    u exp(du/u) instead of u + du, so a positive profile stays positive (but
+    for a value below the smallest double, which underflows to 0 and is only
+    raised after).  With delta = inf the diagonal term is 1/inf = 0 and the
+    step is plain Newton.
     """
     grid = config.grid
     n, dx = grid.n, grid.dx
@@ -262,26 +261,21 @@ def _newton(
         else:
             step_vec = bordered_solve(-F)
         du, dc = step_vec[:-1], step_vec[-1]
-        step = 1.0
-        while True:
-            u_next, c_next = u + step * du, c + step * dc
-            if pseudo:
-                # a node that exp underflowed to 0 on an earlier step can only be raised
-                inner, d = u[1:-1], du[1:-1]
-                ratio = np.divide(d, inner, out=np.zeros_like(d), where=(d < 0.0) & (inner > 0.0))
-                u_next[1:-1] = inner * np.exp(ratio) + np.maximum(d, 0.0)
-            v_next = _frozen_advection(u_next, config)
-            F_next = _bvp_residual(u_next, c_next, v_next, config, pin)
-            res_next = np.max(np.abs(F_next))
-            if trial and it == 1 and res_next > 0.5 * nrm:
-                return u, c, nrm, it, False
-            if pseudo or res_next < nrm or step <= 1e-8:
-                break
-            step *= 0.5
+        u_next, c_next = u + du, c + dc
+        if pseudo:
+            # a node that exp underflowed to 0 on an earlier step can only be raised
+            inner, d = u[1:-1], du[1:-1]
+            ratio = np.divide(d, inner, out=np.zeros_like(d), where=(d < 0.0) & (inner > 0.0))
+            u_next[1:-1] = inner * np.exp(ratio) + np.maximum(d, 0.0)
+        v_next = _frozen_advection(u_next, config)
+        F_next = _bvp_residual(u_next, c_next, v_next, config, pin)
+        res_next = np.max(np.abs(F_next))
         if pseudo:
             delta *= nrm / res_next
+        elif not res_next < nrm:
+            return u, c, nrm, it, False
         u, c, v, F = u_next, c_next, v_next, F_next
-        # the accepted trial's residual is the next one: only the pin row moves with the pin
+        # the step's residual is the next one: only the pin row moves with the pin
         pin = i0 + int(np.argmax(u[i0:]))
         F[-1] = u[pin] - config.theta
     return u, c, float(np.max(np.abs(F))), it, False
@@ -291,47 +285,50 @@ def _positive_interior(u: np.ndarray) -> bool:
     return bool(np.min(u[1:-1]) > 0.0)
 
 
+def _solve(u: np.ndarray, c: float, config: SlabConfig) -> tuple[np.ndarray, float, float, int, bool]:
+    """Plain Newton from (u, c); if it stops, or its root is not positive at
+    every interior node, pseudo-transient continuation from the same start at
+    pseudo-time step PTC_DELTA0, provided that start is positive.  The flag
+    is True only for a converged root positive at every interior node."""
+    u_end, c_end, residual, iterations, ok = _newton(u, c, config)
+    if not (ok and _positive_interior(u_end)) and _positive_interior(u):
+        u_end, c_end, residual, more, ok = _newton(u, c, config, delta=PTC_DELTA0)
+        iterations += more
+    return u_end, c_end, residual, iterations, ok and _positive_interior(u_end)
+
+
 @lru_cache(maxsize=8)
 def _fkpp_wave(a: float, dx: float, theta: float) -> tuple[np.ndarray, float, float, int, bool]:
-    """The tau = 0 stage: Newton on the pure FKPP slab from the sigmoid seed.
+    """The tau = 0 stage: the pure FKPP slab solved from the sigmoid seed.
 
     Without coupling `_newton` reads neither sigma nor the kernel, so every
     (chi, sigma) on one slab grid shares this solve; the profile is returned
     read-only.
     """
     config = SlabConfig(a, ChemoParams(0.0, 1.0), KernelSpec("exp"), theta, dx)
-    u, c, residual, iterations, ok = _newton(_seed_profile(config).values, 2.0, config)
+    u, c, residual, iterations, ok = _solve(_seed_profile(config).values, 2.0, config)
     u.setflags(write=False)
     return u, c, residual, iterations, ok
 
 
 def fixed_point(config: SlabConfig) -> SlabSolution:
     """Solve the slab problem at tau = 0 (the FKPP limit, shared by every call
-    on the same slab grid through `_fkpp_wave`), then by one trial Newton
-    solve at tau = 1 (the model) from that wave.
+    on the same slab grid through `_fkpp_wave`), then at tau = 1 (the model)
+    from that wave, each stage by `_solve`.
 
-    The trial is rejected unless its first full step at least halves the
-    residual.  A rejected or unconverged trial, or one whose root is not
-    positive at every interior node, falls back to pseudo-transient
-    continuation from the same tau = 0 wave, starting at pseudo-time step
-    PTC_DELTA0; its steps keep that wave's positivity.  A tau = 0 wave that is
-    not positive itself has no fallback.  On non-convergence the best iterate
-    is returned flagged, not raised; so is a root that is not positive at
-    every interior node (a sign-changing solution of the slab equations, not
-    a wave).
+    On non-convergence the best iterate is returned flagged, not raised; so
+    is a root that is not positive at every interior node (a sign-changing
+    solution of the slab equations, not a wave).  A tau = 0 stage that fails
+    is returned as it ends, with no tau = 1 solve.
     """
     u, c, residual, total_iters, ok = _fkpp_wave(config.a, config.dx, config.theta)
+    # a copy: at chi = 0 the model solve returns its start, the cached read-only wave
     u = u.copy()
     path = [(0.0, c)]
     if ok:
-        u_fkpp, c_fkpp = u, c
-        u, c, residual, iters, ok = _newton(u_fkpp, c_fkpp, config, trial=True)
+        u, c, residual, iters, ok = _solve(u, c, config)
         total_iters += iters
-        if not (ok and _positive_interior(u)) and _positive_interior(u_fkpp):
-            u, c, residual, iters, ok = _newton(u_fkpp, c_fkpp, config, delta=PTC_DELTA0)
-            total_iters += iters
         path.append((1.0, c))
-    ok = ok and _positive_interior(u)
     return SlabSolution(
         c=c,
         u=Field(config.grid, u, left_ext=1.0, right_ext=0.0),

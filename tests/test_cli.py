@@ -101,10 +101,10 @@ def test_evolve_command_end_to_end(out_dir):
     assert 1.5 < meta["c"] < 2.1
 
 
-def test_sign_changing_slab_root_exits_three(out_dir):
-    assert run(["slab", "--a", "240", "--out", "wave.csv"]) == EXIT_NO_CONVERGENCE
+def test_unconverged_slab_solve_exits_three(out_dir, capped_slab_newton):
+    assert run(["slab", "--out", "wave.csv"]) == EXIT_NO_CONVERGENCE
     meta = json.loads((out_dir / "wave.csv.meta.json").read_text())
-    assert not meta["converged"] and meta["residual"] < 1e-10
+    assert not meta["converged"] and meta["residual"] > 1e-10
 
 
 def test_singular_tridiagonal_system_exits_three(monkeypatch, capsys):
@@ -272,11 +272,10 @@ def test_scan_with_skipped_cell_exits_one(out_dir):
     assert row[10] == "skipped"
 
 
-def test_scan_with_failed_slab_solve_exits_one(out_dir, capsys):
-    # at a = 240 the slab root changes sign, so it is flagged as not converged;
-    # the evolve speed still classifies the cell, but the scan must not pass
-    code = run(["scan", "--chis=0", "--sigmas", "1", "--mode", "both", "--a", "240",
-                "--out", "scan.csv"])
+def test_scan_with_failed_slab_solve_exits_one(out_dir, capsys, capped_slab_newton):
+    # the slab solve is flagged as not converged; the evolve speed still
+    # classifies the cell, but the scan must not pass
+    code = run(["scan", "--chis=0", "--sigmas", "1", "--mode", "both", "--out", "scan.csv"])
     assert code == EXIT_CHECK_FAILED
     row = (out_dir / "scan.csv").read_text().splitlines()[1].split(",")
     assert row[10] == "slow" and row[11] == "slab-not-converged"

@@ -3,6 +3,7 @@ import pytest
 
 from chemofront.kernels import ChemoParams, KernelSpec
 from chemofront.scan import (
+    FAILURE_FLAGS,
     RegimeRecord,
     ScanConfig,
     fast_predicate,
@@ -131,12 +132,21 @@ def test_scan_skips_invalid_cells():
     assert records[0].c is None
 
 
-def test_scan_flags_sign_changing_slab_root():
-    # at a = 240 the slab solve lands on a root that changes sign in its tail
-    config = ScanConfig(chi_values=(0.0,), sigma_values=(1.0,), spec=EXP, slab_a=240.0)
+def test_scan_flags_unconverged_slab_solve(capped_slab_newton):
+    config = ScanConfig(chi_values=(0.0,), sigma_values=(1.0,), spec=EXP)
     (record,) = run_scan(config)
     assert record.flags == ["slab-not-converged"]
     assert record.classification == "skipped"
+
+
+def test_scan_flags_a_wave_that_fails_the_bounds_check():
+    # a strongly repulsive wave on a slab short against its kernel: it
+    # converges, but its mean over [-a, -a + 5] is 0.064 below the left limit 1
+    config = ScanConfig(chi_values=(-20.0,), sigma_values=(50.0,), spec=EXP)
+    (record,) = run_scan(config)
+    assert record.c_slab is not None
+    assert record.flags == ["slab-bounds-failed: left-plateau"]
+    assert record.flags[0].startswith(FAILURE_FLAGS)
 
 
 def test_sandwich_table(small_scan):

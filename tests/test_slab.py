@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from chemofront.grids import tridiagonal_solver
+from chemofront.grids import Field, tridiagonal_solver
 from chemofront.kernels import ChemoParams, KernelSpec
 from chemofront import slab
 from chemofront.slab import (
@@ -76,7 +76,7 @@ def test_fkpp_slab_speed_near_two():
 def test_homotopy_path_is_recorded():
     config = SlabConfig(a=40.0, params=ChemoParams(-0.05, 1.0), spec=EXP)
     sol = fixed_point(config)
-    # weak coupling: the trial jump from the tau = 0 wave to tau = 1 is accepted
+    # weak coupling: plain Newton from the tau = 0 wave converges at tau = 1
     assert [t for t, _ in sol.tau_path] == [0.0, 1.0]
     # speeds along the path stay near 2 in this weak-coupling regime
     assert all(1.8 < c < 2.2 for _, c in sol.tau_path)
@@ -140,21 +140,21 @@ def test_uncoupled_solve_makes_no_convolution(monkeypatch):
 
 
 def _newton_calls(monkeypatch):
-    # the (trial, delta, converged) of every `_newton` call, in order
+    # the (delta, converged, iterations) of every `_newton` call, in order
     calls = []
     real = slab._newton
 
-    def spy(u, c, config, trial=False, delta=math.inf):
-        out = real(u, c, config, trial, delta)
-        calls.append((trial, delta, out[4]))
+    def spy(u, c, config, delta=math.inf):
+        out = real(u, c, config, delta)
+        calls.append((delta, out[4], out[3]))
         return out
 
     monkeypatch.setattr(slab, "_newton", spy)
     return calls
 
 
-# the trial is rejected on its first step, then pseudo-transient continuation converges
-REJECTED_THEN_PTC = [(True, math.inf, False), (False, slab.PTC_DELTA0, True)]
+# plain Newton stops unconverged, then pseudo-transient continuation converges
+STOPPED_THEN_PTC = [(math.inf, False), (slab.PTC_DELTA0, True)]
 
 
 def test_fast_regime_wave_converges(monkeypatch):
@@ -162,10 +162,11 @@ def test_fast_regime_wave_converges(monkeypatch):
     calls = _newton_calls(monkeypatch)
     sol = fixed_point(config)
     assert sol.converged
-    # strong coupling: the first full step of the jump to tau = 1 does not
-    # halve the residual, so the trial is rejected and the pseudo-transient
-    # fallback runs from the tau = 0 wave instead
-    assert calls[-2:] == REJECTED_THEN_PTC
+    # strong coupling: the first full Newton step from the tau = 0 wave does
+    # not lower the residual, so plain Newton stops and pseudo-transient
+    # continuation runs from the tau = 0 wave instead
+    assert [call[:2] for call in calls[-2:]] == STOPPED_THEN_PTC
+    assert calls[-2][2] == 1  # plain Newton stopped at its first step
     assert [tau for tau, _ in sol.tau_path] == [0.0, 1.0]
     assert sol.c == pytest.approx(11.53654557283846, abs=1e-8)
     # its tail lies below the Newton step's rounding; the positive pseudo-steps keep it positive
@@ -174,8 +175,8 @@ def test_fast_regime_wave_converges(monkeypatch):
 
 def test_wide_weak_wave_follows_the_tau_homotopy():
     # a wide kernel with weak coupling; a Newton solve straight at tau = 1 from
-    # the FKPP seed lands on another wave (c ~ 1.99934), but the trial jump to
-    # tau = 1 from the tau = 0 wave lands on the one the full TAUS path reaches
+    # the FKPP seed lands on another wave (c ~ 1.99934), but plain Newton from
+    # the tau = 0 wave lands on the one the old TAUS path reached
     config = SlabConfig(a=60.0, params=ChemoParams(-0.05, 200.0), spec=EXP)
     sol = fixed_point(config)
     assert sol.converged
@@ -184,13 +185,15 @@ def test_wide_weak_wave_follows_the_tau_homotopy():
 
 
 def test_fast_tophat_wave_rejects_the_trial_and_falls_back(monkeypatch):
-    # the FFT drift path of the fallback: the jump's first full step does not
-    # halve the residual, so pseudo-transient continuation runs from tau = 0
+    # the FFT drift path of the fallback: the first full Newton step from the
+    # tau = 0 wave (the trial) does not lower the residual, so pseudo-transient
+    # continuation runs from tau = 0
     config = SlabConfig(a=60.0, params=ChemoParams(-20.0, 200.0), spec=KernelSpec("tophat"))
     calls = _newton_calls(monkeypatch)
     sol = fixed_point(config)
     assert sol.converged
-    assert calls[-2:] == REJECTED_THEN_PTC
+    assert [call[:2] for call in calls[-2:]] == STOPPED_THEN_PTC
+    assert calls[-2][2] == 1  # plain Newton stopped at its first step
     assert [tau for tau, _ in sol.tau_path] == [0.0, 1.0]
     assert sol.c == pytest.approx(11.505194541100446, abs=1e-8)
     assert np.min(sol.u.values[1:-1]) > 0.0
@@ -217,9 +220,24 @@ def test_repulsive_waves_are_positive_and_below_the_upper_bound(kernel, chi, sig
 
 @pytest.mark.parametrize("chi", [0.0, -0.05])
 def test_sign_changing_root_is_not_converged(chi):
-    # at a = 240 the solve from the default seed lands on a root of the slab
-    # equations that changes sign in its far tail (values near -3e-23)
-    sol = fixed_point(SlabConfig(a=240.0, params=ChemoParams(chi, 1.0), spec=EXP))
+    # at a = 240 plain Newton from the default seed lands on a root of the FKPP
+    # slab equations that changes sign in its far tail (values near -3e-23);
+    # a solve started there has no positive start to fall back to, so it
+    # returns that root, or the nearby one of the model, flagged
+    fkpp = SlabConfig(a=240.0, params=ChemoParams(0.0, 1.0), spec=EXP)
+    u, c, _, _, ok = slab._newton(slab._seed_profile(fkpp).values, 2.0, fkpp)
+    assert ok and np.min(u[1:-1]) < 0.0
+    config = SlabConfig(a=240.0, params=ChemoParams(chi, 1.0), spec=EXP)
+    u, c, residual, iterations, ok = slab._solve(u, c, config)
+    sol = SlabSolution(
+        c=c,
+        u=Field(config.grid, u, left_ext=1.0, right_ext=0.0),
+        residual=residual,
+        iterations=iterations,
+        converged=ok,
+        config=config,
+        tau_path=[],
+    )
     assert sol.residual < 1e-10  # a root, not a failed solve
     assert np.min(sol.u.values[1:-1]) < 0.0
     assert not sol.converged
@@ -228,6 +246,38 @@ def test_sign_changing_root_is_not_converged(chi):
     assert not cert.applicable
     assert cert.reason == "slab solution not converged"
     assert not cert.passed
+
+
+@pytest.mark.parametrize("chi", [0.0, -0.05])
+def test_long_slab_waves_are_positive_and_follow_the_box_law(chi):
+    # c(a) ~ c*(dx) - pi^2/a^2, with c*(dx) the centred slab scheme's spreading
+    # speed, min over lambda of (1 + (2 cosh(lambda dx) - 2)/dx^2) dx/sinh(lambda dx);
+    # at a = 240 and 480 plain Newton from the seed lands on a sign-changing
+    # root, so the FKPP stage takes pseudo-transient continuation from the seed
+    dx = SlabConfig.dx
+    lam = np.linspace(0.5, 1.5, 100_001)
+    c_star = np.min((1.0 + (2.0 * np.cosh(lam * dx) - 2.0) / dx**2) * dx / np.sinh(lam * dx))
+    speeds = []
+    for a in (120.0, 240.0, 480.0):
+        sol = fixed_point(SlabConfig(a=a, params=ChemoParams(chi, 1.0), spec=EXP))
+        assert sol.converged
+        assert np.min(sol.u.values[1:-1]) > 0.0
+        assert abs(sol.c - (c_star - np.pi**2 / a**2)) < 1e-4
+        speeds.append(sol.c)
+    assert speeds[0] < speeds[1] < speeds[2]
+
+
+@pytest.mark.parametrize("kernel, c_ref", [("exp", 4.247889437422702), ("tophat", 4.228347269769825)])
+def test_moderate_repulsion_converges_without_crawling(kernel, c_ref):
+    # chi = -5, sigma = 100: a Newton with a line search crawled through all
+    # NEWTON_MAX_ITER steps here (97-99 iterations in all) before the
+    # pseudo-transient fallback converged; plain Newton now stops at its first
+    # step that does not lower the residual
+    config = SlabConfig(a=60.0, params=ChemoParams(-5.0, 100.0), spec=KernelSpec(kernel))
+    sol = fixed_point(config)
+    assert sol.converged
+    assert sol.iterations <= 30
+    assert sol.c == pytest.approx(c_ref, abs=1e-9)
 
 
 def test_fkpp_stage_is_solved_once_per_slab_grid():
