@@ -20,10 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.linalg.lapack import dpttrs
 
 from .grids import Field
 from .kernels import ChemoParams, KernelSpec, kbar, kernel_scaled
+from .lapack import dpttrs
 from .reports import BoundsReport
 
 

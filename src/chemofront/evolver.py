@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .convolve import advection, drift_operator  # noqa: F401 - perfbench/spans.py binds evolver.advection
 from .grids import Field, Grid1D, smoothed_step_field
 from .kernels import ChemoParams, KernelSpec
+from .lapack import dpttrf, dpttrs
 
 
 class BlowUpError(RuntimeError):

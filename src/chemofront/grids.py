@@ -7,7 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+
+from .lapack import dgttrf, dgttrs
 
 
 @dataclass(frozen=True)

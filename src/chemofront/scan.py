@@ -11,7 +11,6 @@ then is classified:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -188,6 +187,8 @@ def run_scan(config: ScanConfig) -> list[RegimeRecord]:
     if config.workers == 1:
         records = [_run_cell(cell) for cell in cells]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only here
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             records = list(pool.map(_run_cell, cells))
     records.sort(key=lambda r: (r.chi, r.sigma))

@@ -116,6 +116,9 @@ def _seed_profile(config: SlabConfig) -> Field:
     vals = np.where(
         t <= 700.0, 1.0 / (1.0 + np.exp(np.minimum(t, 700.0))), np.exp(-np.maximum(t, 700.0))
     )
+    # floored where e^-t leaves the normal floats (t > ~708, exact 0 past ~745):
+    # `_solve` falls back only from a start positive at every interior node
+    vals = np.maximum(vals, np.finfo(float).tiny)
     vals[0], vals[-1] = 1.0, 0.0
     return Field(grid, vals, left_ext=1.0, right_ext=0.0)
 

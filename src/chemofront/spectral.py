@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .convolve import advection, advection_gradient
 from .grids import Field, Grid1D, periodic_difference
+from .lapack import dpttrf, dpttrs
 from .slab import SlabSolution
 
 CERTIFICATE_GATE = 0.1  # largest |chi|(1/sigma + sigma^2) the certificate covers

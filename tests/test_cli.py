@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -289,20 +290,31 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     assert "damping" in capsys.readouterr().err
 
 
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new interpreter that imports this checkout's chemofront."""
+    src = str(Path(chemofront.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_cli_import_skips_unused_scipy_modules():
     # scipy.signal alone used to take about half of the CLI's start-up time; the
     # FFT comes from numpy, quadrature, root finding and special functions
     # load only when a stretched kernel asks; the slab's GMRES and
     # validate_kernel's quadrature are the package's own, so a coupled slab
-    # solve and an exp kernel check load none of sparse, integrate or optimize
+    # solve and an exp kernel check load none of sparse, integrate or optimize;
+    # the LAPACK routines come from scipy.linalg's extension alone, whose
+    # package __init__ would load numpy.f2py and numpy.testing; and the process
+    # pool (multiprocessing) loads only when a scan asks for workers
     unused = [
         "scipy.signal", "scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.special",
-        "scipy.sparse",
+        "scipy.sparse", "scipy.linalg", "numpy.f2py", "numpy.testing", "multiprocessing",
     ]
-    after_work = ["scipy.sparse", "scipy.integrate", "scipy.optimize"]
-    src = str(Path(chemofront.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    after_work = [
+        "scipy.sparse", "scipy.integrate", "scipy.optimize", "scipy.linalg", "numpy.f2py",
+        "numpy.testing",
+    ]
     code = f"""
 import sys, chemofront.cli
 print([m for m in {unused!r} if m in sys.modules])
@@ -312,6 +324,40 @@ assert fixed_point(SlabConfig(20.0, ChemoParams(-0.05, 1.0), KernelSpec("exp"), 
 assert validate_kernel(KernelSpec("exp")).all_passed
 print([m for m in {after_work!r} if m in sys.modules])
 """
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    result = _fresh_python(code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+LAPACK_ROUTINES = ("dgttrf", "dgttrs", "dpttrf", "dpttrs")
+
+
+def test_lapack_routines_are_scipys_after_chemofront_loads_first():
+    # conftest imports chemofront before the oracles import scipy.linalg, so in
+    # this process scipy.linalg found the extension chemofront had registered
+    import scipy.linalg.lapack
+
+    from chemofront import lapack
+
+    for name in LAPACK_ROUTINES:
+        assert getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
+
+
+def test_lapack_extension_missing_names_the_searched_path(tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from chemofront import lapack
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(lapack, "scipy", SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        lapack._load_flapack()
+
+
+def test_lapack_routines_are_scipys_after_scipy_linalg_loads_first():
+    result = _fresh_python(f"""
+import scipy.linalg.lapack
+from chemofront import lapack
+assert all(getattr(lapack, n) is getattr(scipy.linalg.lapack, n) for n in {LAPACK_ROUTINES!r})
+""")
+    assert result.returncode == 0, result.stderr

@@ -400,3 +400,7 @@ def test_seed_profile_on_a_wide_slab_does_not_overflow():
     # bitwise where 1/(1 + e^t) is finite, so no pinned speed moves
     assert np.array_equal(vals[t <= 700.0], plain[t <= 700.0])
     assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) <= 0.0)
+    # e^-t underflows to 0 past t ~ 745: floored at the smallest normal double,
+    # the seed stays positive, so `_solve` can fall back to pseudo-transient
+    # continuation from it
+    assert np.min(vals[1:-1]) == np.finfo(float).tiny
