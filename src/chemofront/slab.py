@@ -20,7 +20,7 @@ stages are one procedure: full Newton steps while each lowers the max-norm
 residual; if one does not, or the root is not positive, pseudo-transient
 continuation from the same start (Kelley & Keyes 1998, SIAM J. Numer. Anal.
 35:508): Newton steps on the pseudo-time flow u_t = F(u), whose steps keep
-every interior value positive.
+every positive interior value positive and only raise the others.
 """
 
 from __future__ import annotations
@@ -68,6 +68,11 @@ class SlabConfig:
         bound = theta_max(self.params)
         if not 0.0 < self.theta < bound:
             raise ValueError(f"theta must lie in (0, {bound:g}) for these parameters")
+        grid = self.grid
+        try:
+            grid.index_of(0.0)
+        except ValueError:
+            raise ValueError(f"a = {self.a:g} is not a whole number of dx = {self.dx:g} steps") from None
 
     @property
     def grid(self) -> Grid1D:
@@ -112,13 +117,11 @@ def _seed_profile(config: SlabConfig) -> Field:
     """Decreasing sigmoid with value theta at x=0 and extensions (1, 0)."""
     grid = config.grid
     t = grid.x - np.log(config.theta / (1.0 - config.theta))
-    # where e^t would overflow, e^-t (the two agree to 1e-304 there)
+    # where e^t would overflow, e^-t (the two agree to 1e-304 there); it
+    # underflows to exactly 0 past t ~ 745, which the fallback's steps only raise
     vals = np.where(
         t <= 700.0, 1.0 / (1.0 + np.exp(np.minimum(t, 700.0))), np.exp(-np.maximum(t, 700.0))
     )
-    # floored where e^-t leaves the normal floats (t > ~708, exact 0 past ~745):
-    # `_solve` falls back only from a start positive at every interior node
-    vals = np.maximum(vals, np.finfo(float).tiny)
     vals[0], vals[-1] = 1.0, 0.0
     return Field(grid, vals, left_ext=1.0, right_ext=0.0)
 
@@ -220,10 +223,10 @@ def _newton(
     algebraic, the DAE form of Coffey, Kelley & Keyes 2003), delta grows by
     switched evolution relaxation, delta <- delta ||F_prev|| / ||F||, and a
     step that raises the residual is kept.  A node the step lowers moves to
-    u exp(du/u) instead of u + du, so a positive profile stays positive (but
-    for a value below the smallest double, which underflows to 0 and is only
-    raised after).  With delta = inf the diagonal term is 1/inf = 0 and the
-    step is plain Newton.
+    u exp(du/u) instead of u + du, so a positive node stays positive (but
+    for a value below the smallest double, which underflows to 0) and a zero
+    or negative one is only raised.  With delta = inf the diagonal term is
+    1/inf = 0 and the step is plain Newton.
     """
     grid = config.grid
     n, dx = grid.n, grid.dx
@@ -266,7 +269,7 @@ def _newton(
         du, dc = step_vec[:-1], step_vec[-1]
         u_next, c_next = u + du, c + dc
         if pseudo:
-            # a node that exp underflowed to 0 on an earlier step can only be raised
+            # a node at or below 0 (in the start, or underflowed by exp) can only be raised
             inner, d = u[1:-1], du[1:-1]
             ratio = np.divide(d, inner, out=np.zeros_like(d), where=(d < 0.0) & (inner > 0.0))
             u_next[1:-1] = inner * np.exp(ratio) + np.maximum(d, 0.0)
@@ -291,10 +294,10 @@ def _positive_interior(u: np.ndarray) -> bool:
 def _solve(u: np.ndarray, c: float, config: SlabConfig) -> tuple[np.ndarray, float, float, int, bool]:
     """Plain Newton from (u, c); if it stops, or its root is not positive at
     every interior node, pseudo-transient continuation from the same start at
-    pseudo-time step PTC_DELTA0, provided that start is positive.  The flag
-    is True only for a converged root positive at every interior node."""
+    pseudo-time step PTC_DELTA0.  The flag is True only for a converged root
+    positive at every interior node."""
     u_end, c_end, residual, iterations, ok = _newton(u, c, config)
-    if not (ok and _positive_interior(u_end)) and _positive_interior(u):
+    if not (ok and _positive_interior(u_end)):
         u_end, c_end, residual, more, ok = _newton(u, c, config, delta=PTC_DELTA0)
         iterations += more
     return u_end, c_end, residual, iterations, ok and _positive_interior(u_end)

@@ -108,6 +108,20 @@ def test_unconverged_slab_solve_exits_three(out_dir, capped_slab_newton):
     assert not meta["converged"] and meta["residual"] > 1e-10
 
 
+def test_slab_too_long_for_a_positive_wave_exits_three_with_strict_json(out_dir):
+    # the slab root's tail underflows to 0, so it is flagged; the solve stays
+    # finite (no overflow warning, an error under this suite's settings), so
+    # the sidecar is strict JSON
+    assert run(["slab", "--a", "800", "--dx", "0.5", "--sigma", "4"]) == EXIT_NO_CONVERGENCE
+
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    meta = json.loads((out_dir / "slab.csv.meta.json").read_text(), parse_constant=refuse)
+    assert not meta["converged"] and meta["residual"] < 1e-10
+    assert abs(meta["c"] - 1.936486) < 1e-6
+
+
 def test_singular_tridiagonal_system_exits_three(monkeypatch, capsys):
     # np.linalg.LinAlgError subclasses ValueError, which alone would read as exit 2
     dgttrf = grids.dgttrf

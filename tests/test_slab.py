@@ -44,6 +44,9 @@ def test_config_validation():
         SlabConfig(a=10.0, params=params, spec=EXP)
     with pytest.raises(ValueError):
         SlabConfig(a=40.0, params=params, spec=EXP, theta=0.02)
+    # 0 would not be a grid node (and from_spacing would end the grid at 60.02)
+    with pytest.raises(ValueError, match=r"a = 60\.03 .* dx = 0\.05"):
+        SlabConfig(a=60.03, params=params, spec=EXP)
 
 
 def test_linear_bvp_manufactured_solution():
@@ -222,8 +225,9 @@ def test_repulsive_waves_are_positive_and_below_the_upper_bound(kernel, chi, sig
 def test_sign_changing_root_is_not_converged(chi):
     # at a = 240 plain Newton from the default seed lands on a root of the FKPP
     # slab equations that changes sign in its far tail (values near -3e-23);
-    # a solve started there has no positive start to fall back to, so it
-    # returns that root, or the nearby one of the model, flagged
+    # a solve started there falls back to pseudo-transient continuation from
+    # that root, which is already a root, so the root, or the nearby one of
+    # the model, comes back flagged
     fkpp = SlabConfig(a=240.0, params=ChemoParams(0.0, 1.0), spec=EXP)
     u, c, _, _, ok = slab._newton(slab._seed_profile(fkpp).values, 2.0, fkpp)
     assert ok and np.min(u[1:-1]) < 0.0
@@ -265,6 +269,21 @@ def test_long_slab_waves_are_positive_and_follow_the_box_law(chi):
         assert abs(sol.c - (c_star - np.pi**2 / a**2)) < 1e-4
         speeds.append(sol.c)
     assert speeds[0] < speeds[1] < speeds[2]
+
+
+@pytest.mark.parametrize("dx, a", [(0.5, 740.0), (0.5, 800.0), (0.25, 740.0)])
+def test_slab_too_long_for_a_positive_wave_is_flagged_at_the_right_speed(dx, a):
+    # the slow wave's tail underflows past a ~ 720: the slab equations' root
+    # has interior nodes at 0, so it comes back flagged, neither diverged nor
+    # "converged" to a wave at some other speed, but at the a = 700 wave's speed
+    params = ChemoParams(0.0, 4.0)
+    ref = fixed_point(SlabConfig(a=700.0, params=params, spec=EXP, dx=dx))
+    assert ref.converged
+    sol = fixed_point(SlabConfig(a=a, params=params, spec=EXP, dx=dx))
+    assert not sol.converged
+    assert np.isfinite(sol.residual) and sol.residual < slab.NEWTON_TOL
+    assert [check.name for check in slab_bounds_check(sol).failures()] == ["positivity"]
+    assert abs(sol.c - ref.c) < 1e-5
 
 
 @pytest.mark.parametrize("kernel, c_ref", [("exp", 4.247889437422702), ("tophat", 4.228347269769825)])
@@ -400,7 +419,6 @@ def test_seed_profile_on_a_wide_slab_does_not_overflow():
     # bitwise where 1/(1 + e^t) is finite, so no pinned speed moves
     assert np.array_equal(vals[t <= 700.0], plain[t <= 700.0])
     assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) <= 0.0)
-    # e^-t underflows to 0 past t ~ 745: floored at the smallest normal double,
-    # the seed stays positive, so `_solve` can fall back to pseudo-transient
-    # continuation from it
-    assert np.min(vals[1:-1]) == np.finfo(float).tiny
+    # exactly 0 where e^-t underflows (t > ~745), and nowhere else in the interior
+    underflow = np.exp(-np.maximum(t[1:-1], 0.0)) == 0.0
+    assert np.any(underflow) and np.array_equal(vals[1:-1] == 0.0, underflow)
