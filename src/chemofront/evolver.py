@@ -44,14 +44,14 @@ class EvolveConfig:
     track_level: float = 0.5
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if self.dt <= 0 or self.dt > self.grid.dx**2 / 4.0:
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max = {self.t_max} must be positive and finite")
+        if not 0.0 < self.dt <= self.grid.dx**2 / 4.0:
             raise ValueError(
                 f"dt={self.dt} outside stability budget (0, dx^2/4 = {self.grid.dx**2 / 4.0}]"
             )
-        if self.snapshot_every <= 0:
-            raise ValueError("snapshot_every must be positive")
+        if not 0.0 < self.snapshot_every < math.inf:
+            raise ValueError(f"snapshot_every = {self.snapshot_every} must be positive and finite")
         if not 0.0 < self.track_level < 1.0:
             raise ValueError("track_level must lie in (0, 1)")
 

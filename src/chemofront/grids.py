@@ -4,11 +4,17 @@ periodic difference."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lapack import dgttrf, dgttrs
+
+
+def _check_bounds(x_min: float, x_max: float) -> None:
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ValueError(f"grid bounds x_min = {x_min} and x_max = {x_max} must be finite")
 
 
 @dataclass(frozen=True)
@@ -20,6 +26,7 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 16:
             raise ValueError("grid needs at least 16 points")
+        _check_bounds(self.x_min, self.x_max)
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
 
@@ -40,6 +47,9 @@ class Grid1D:
 
     @staticmethod
     def from_spacing(x_min: float, x_max: float, dx: float) -> "Grid1D":
+        if not 0.0 < dx < math.inf:
+            raise ValueError(f"grid spacing dx = {dx} must be positive and finite")
+        _check_bounds(x_min, x_max)
         n = round((x_max - x_min) / dx) + 1
         return Grid1D(x_min, x_min + (n - 1) * dx, n)
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convolve import advection
+from .convolve import advection, drift_operator  # noqa: F401 - perfbench/spans.py binds slab.advection
 from .evolver import sup_bound
 from .grids import Field, Grid1D, tridiagonal_solver
 from .kernels import ChemoParams, KernelSpec
@@ -63,8 +63,8 @@ class SlabConfig:
     dx: float = 0.05
 
     def __post_init__(self):
-        if self.a < 20:
-            raise ValueError("slab half-length a must be at least 20")
+        if not 20.0 <= self.a < math.inf:
+            raise ValueError(f"slab half-length a = {self.a} must be finite and at least 20")
         bound = theta_max(self.params)
         if not 0.0 < self.theta < bound:
             raise ValueError(f"theta must lie in (0, {bound:g}) for these parameters")
@@ -88,13 +88,6 @@ class SlabSolution:
     converged: bool
     config: SlabConfig
     tau_path: list[tuple[float, float]]  # (tau, c): the FKPP stage (0) and the model (1)
-
-
-def _frozen_advection(u_vals: np.ndarray, config: SlabConfig) -> np.ndarray:
-    if config.params.chi == 0.0:
-        return np.zeros_like(u_vals)
-    field = Field(config.grid, u_vals, left_ext=1.0, right_ext=0.0)
-    return advection(field, config.spec, config.params).values
 
 
 def _bands(c: float, v: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,16 +119,15 @@ def _seed_profile(config: SlabConfig) -> Field:
     return Field(grid, vals, left_ext=1.0, right_ext=0.0)
 
 
-def _bvp_residual(u: np.ndarray, c: float, v: np.ndarray, config: SlabConfig, pin: int) -> np.ndarray:
-    n, dx = config.grid.n, config.dx
-    F = np.empty(n + 1)
+def _bvp_residual(u: np.ndarray, c: float, v: np.ndarray, dx: float, pin: int, theta: float) -> np.ndarray:
+    """The slab equations at (u, c) with frozen drift v, and the pin row u[pin] = theta."""
+    F = np.empty(u.size + 1)
     F[1:-2] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx**2 + c * (u[2:] - u[:-2]) / (2.0 * dx)
-    if config.params.chi != 0.0:
-        F[1:-2] -= (v[2:] * u[2:] - v[:-2] * u[:-2]) / (2.0 * dx)
+    F[1:-2] -= (v[2:] * u[2:] - v[:-2] * u[:-2]) / (2.0 * dx)
     F[1:-2] += u[1:-1] * (1.0 - u[1:-1])
     F[0] = u[0] - 1.0
     F[-2] = u[-1]
-    F[-1] = u[pin] - config.theta
+    F[-1] = u[pin] - theta
     return F
 
 
@@ -227,15 +219,23 @@ def _newton(
     for a value below the smallest double, which underflows to 0) and a zero
     or negative one is only raised.  With delta = inf the diagonal term is
     1/inf = 0 and the step is plain Newton.
+
+    The grid is read once, and a coupled solve fetches the cached drift
+    operator of (kernel, sigma, dx, n) once: the frozen drift
+    v = chi K_sigma * u~ and the Jacobian's dv are that operator applied to
+    plain arrays (no drift at all without coupling).  A trial whose u or c
+    is not finite is not evaluated: the solve ends unconverged and returns
+    the last finite iterate and its residual.
     """
     grid = config.grid
-    n, dx = grid.n, grid.dx
-    i0 = grid.index_of(0.0)
-    coupled = config.params.chi != 0.0
+    n, dx, i0 = grid.n, grid.dx, grid.index_of(0.0)
+    chi, theta = config.params.chi, config.theta
+    coupled = chi != 0.0
     pseudo = delta < math.inf
-    v = _frozen_advection(u, config)
+    drift = drift_operator(config.spec, config.params.sigma, dx, n) if coupled else None
+    v = drift.advection(u, 1.0, 0.0, chi) if coupled else np.zeros(n)
     pin = i0 + int(np.argmax(u[i0:]))
-    F = _bvp_residual(u, c, v, config, pin)
+    F = _bvp_residual(u, c, v, dx, pin, theta)
     for it in range(1, NEWTON_MAX_ITER + 1):
         nrm = float(np.max(np.abs(F)))
         if nrm < NEWTON_TOL:
@@ -258,7 +258,7 @@ def _newton(
 
             def preconditioned_jacobian(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 z = bordered_solve(y)
-                dv = advection(Field(grid, z[:-1]), config.spec, config.params).values
+                dv = drift.advection(z[:-1], 0.0, 0.0, chi)
                 out = y.copy()
                 out[1:-2] -= (u[2:] * dv[2:] - u[:-2] * dv[:-2]) / (2.0 * dx)
                 return out, z
@@ -273,8 +273,10 @@ def _newton(
             inner, d = u[1:-1], du[1:-1]
             ratio = np.divide(d, inner, out=np.zeros_like(d), where=(d < 0.0) & (inner > 0.0))
             u_next[1:-1] = inner * np.exp(ratio) + np.maximum(d, 0.0)
-        v_next = _frozen_advection(u_next, config)
-        F_next = _bvp_residual(u_next, c_next, v_next, config, pin)
+        if not (np.all(np.isfinite(u_next)) and math.isfinite(c_next)):
+            break
+        v_next = drift.advection(u_next, 1.0, 0.0, chi) if coupled else v
+        F_next = _bvp_residual(u_next, c_next, v_next, dx, pin, theta)
         res_next = np.max(np.abs(F_next))
         if pseudo:
             delta *= nrm / res_next
@@ -283,7 +285,7 @@ def _newton(
         u, c, v, F = u_next, c_next, v_next, F_next
         # the step's residual is the next one: only the pin row moves with the pin
         pin = i0 + int(np.argmax(u[i0:]))
-        F[-1] = u[pin] - config.theta
+        F[-1] = u[pin] - theta
     return u, c, float(np.max(np.abs(F))), it, False
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chemofront
-from chemofront import evolver, grids, spectral
+from chemofront import cli, evolver, grids, slab, spectral
 from chemofront.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -238,11 +238,36 @@ def test_invalid_parameters_exit_two():
     assert run(["check", "--input", "/nonexistent.csv", "--chi", "0", "--sigma", "1"]) == EXIT_CONFIG
 
 
-def test_non_finite_parameters_exit_two(out_dir, capsys):
-    # --sigma inf used to end in an internal ZeroDivisionError (exit 4)
-    for argv in (["slab", "--sigma", "inf", "--a", "20"], ["slab", "--chi=nan"], ["eigen", "--sigma", "nan"]):
+def test_non_finite_parameters_exit_two(out_dir, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve started on an invalid configuration")
+
+    monkeypatch.setattr(slab, "_newton", refuse)
+    monkeypatch.setattr(cli, "evolve", refuse)
+    # --sigma inf and --dx 0 used to end in an internal ZeroDivisionError (exit
+    # 4), --a inf and --xmax inf in an OverflowError; --dx nan and --dt nan
+    # exited 2 on a message that named no field
+    dx_zero = "grid spacing dx = 0.0 must be positive and finite"
+    cases = [
+        (["slab", "--sigma", "inf", "--a", "20"], "chi and sigma must be finite"),
+        (["slab", "--chi=nan"], "chi and sigma must be finite"),
+        (["eigen", "--sigma", "nan"], "chi and sigma must be finite"),
+        (["slab", "--dx", "0"], dx_zero),
+        (["eigen", "--dx", "0"], dx_zero),
+        (["slab", "--dx", "nan"], "grid spacing dx = nan must be positive and finite"),
+        (["slab", "--a", "inf"], "slab half-length a = inf must be finite"),
+        (["evolve", "--dx", "0", "--tmax", "1"], dx_zero),
+        (["evolve", "--dt", "nan"], "dt=nan outside stability budget"),
+        (["evolve", "--tmax", "inf"], "t_max = inf must be positive and finite"),
+        (["evolve", "--snapshot-every", "nan"], "snapshot_every = nan must be positive and finite"),
+        (["evolve", "--xmax", "inf"], "grid bounds x_min = -50.0 and x_max = inf must be finite"),
+    ]
+    for argv, message in cases:
         assert run(argv) == EXIT_CONFIG
-        assert "chi and sigma must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+    # a scan builds each cell's slab: the refusal is the cell's flag, and the scan fails
+    assert run(["scan", "--chis=0", "--sigmas", "1", "--dx", "0"]) == EXIT_CHECK_FAILED
+    assert f"slab-error: {dx_zero}" in (out_dir / "scan.csv").read_text()
 
 
 def test_config_file_merges_defaults(out_dir, tmp_path):

@@ -49,6 +49,13 @@ def test_config_validation():
         make_config(grid, snapshot_every=0.0)
     with pytest.raises(ValueError):
         make_config(grid, track_level=1.0)
+    for field in ("dt", "t_max", "snapshot_every"):
+        with pytest.raises(ValueError, match=field):
+            make_config(grid, **{field: float("nan")})
+    with pytest.raises(ValueError, match="t_max = inf"):
+        make_config(grid, t_max=float("inf"))
+    with pytest.raises(ValueError, match="grid bounds"):
+        Grid1D(-10.0, float("inf"), 201)
     other = Grid1D.from_spacing(-5.0, 5.0, 0.1)
     with pytest.raises(ValueError):
         make_config(grid, initial=smoothed_step_field(other)).initial_field()

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -7,11 +9,11 @@ import pytest
 from chemofront.grids import Field, tridiagonal_solver
 from chemofront.kernels import ChemoParams, KernelSpec
 from chemofront import slab
+from chemofront.convolve import advection
 from chemofront.slab import (
     SlabConfig,
     SlabSolution,
     _bvp_residual,
-    _frozen_advection,
     fixed_point,
     slab_bounds_check,
     theta_max,
@@ -47,6 +49,12 @@ def test_config_validation():
     # 0 would not be a grid node (and from_spacing would end the grid at 60.02)
     with pytest.raises(ValueError, match=r"a = 60\.03 .* dx = 0\.05"):
         SlabConfig(a=60.03, params=params, spec=EXP)
+    for a in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="half-length a = .* must be finite"):
+            SlabConfig(a=a, params=params, spec=EXP)
+    for dx in (0.0, -0.05, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dx = .* must be positive and finite"):
+            SlabConfig(a=60.0, params=params, spec=EXP, dx=dx)
 
 
 def test_linear_bvp_manufactured_solution():
@@ -126,17 +134,17 @@ def test_speeds_match_reference(chi, sigma):
     i0 = config.grid.index_of(0.0)
     pin = i0 + int(np.argmax(u[i0:]))
     assert sol.tau_path[-1][0] == 1.0
-    v = _frozen_advection(u, config)
-    residual = _bvp_residual(u, sol.c, v, config, pin)
+    v = advection(sol.u, EXP, config.params).values
+    residual = _bvp_residual(u, sol.c, v, config.dx, pin, config.theta)
     assert np.max(np.abs(residual)) < 1e-8
     assert slab_bounds_check(sol)["positivity"].passed
 
 
 def test_uncoupled_solve_makes_no_convolution(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("advection called on an uncoupled slab")
+        raise AssertionError("drift operator fetched for an uncoupled slab")
 
-    monkeypatch.setattr(slab, "advection", refuse)
+    monkeypatch.setattr(slab, "drift_operator", refuse)
     sol = fixed_point(SlabConfig(a=60.0, params=ChemoParams(0.0, 1.0), spec=EXP))
     assert sol.converged
     assert sol.c == pytest.approx(REFERENCE_SPEEDS[(0.0, 1.0)], abs=1e-9)
@@ -397,15 +405,52 @@ def test_gmres_applies_the_operator_once_per_krylov_direction(monkeypatch):
 
 
 def test_coupled_solve_never_convolves_a_zero_field(monkeypatch):
-    real = slab.advection
+    real = slab.drift_operator
+    seen = []
 
-    def checked(field, spec, params):
-        assert np.any(field.values != 0.0), "advection of an all-zero field"
-        return real(field, spec, params)
+    class Checked:
+        def __init__(self, op):
+            self.op = op
 
-    monkeypatch.setattr(slab, "advection", checked)
+        def advection(self, values, left_ext, right_ext, chi):
+            assert np.any(values != 0.0), "advection of an all-zero field"
+            seen.append(values.size)
+            return self.op.advection(values, left_ext, right_ext, chi)
+
+    monkeypatch.setattr(slab, "drift_operator", lambda *args: Checked(real(*args)))
     sol = fixed_point(SlabConfig(a=40.0, params=ChemoParams(-0.05, 1.0), spec=EXP))
     assert sol.converged
+    assert seen  # the solve convolved through the operator it fetched
+
+
+@pytest.mark.parametrize("delta", [math.inf, slab.PTC_DELTA0], ids=["plain", "ptc"])
+@pytest.mark.parametrize("chi", [0.0, -0.05], ids=["uncoupled", "coupled"])
+def test_non_finite_trial_ends_the_solve_at_the_last_finite_iterate(monkeypatch, chi, delta):
+    config = SlabConfig(a=40.0, params=ChemoParams(chi, 1.0), spec=EXP)
+    if chi != 0.0:
+        monkeypatch.setattr(slab, "_gmres", lambda apply, b: np.full(b.size, np.inf))
+    else:
+        real = slab.tridiagonal_solver
+
+        def infinite_step(lower, main, upper):
+            solve, calls = real(lower, main, upper), itertools.count()
+
+            def step(rhs):
+                out = solve(rhs)
+                if next(calls):  # the first solve is dF/dc's, every later one the step's
+                    out[1] = np.inf
+                return out
+
+            return step
+
+        monkeypatch.setattr(slab, "tridiagonal_solver", infinite_step)
+    start = slab._seed_profile(config).values
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        u, c, residual, iterations, converged = slab._newton(start, 2.0, config, delta)
+    assert caught == []
+    assert u is start and c == 2.0 and iterations == 1 and not converged
+    assert math.isfinite(residual)
 
 
 def test_seed_profile_on_a_wide_slab_does_not_overflow():
