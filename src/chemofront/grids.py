@@ -50,7 +50,10 @@ class Grid1D:
         if not 0.0 < dx < math.inf:
             raise ValueError(f"grid spacing dx = {dx} must be positive and finite")
         _check_bounds(x_min, x_max)
-        n = round((x_max - x_min) / dx) + 1
+        steps = (x_max - x_min) / dx
+        if not math.isfinite(steps):
+            raise ValueError(f"grid spacing dx = {dx} gives a non-finite step count {steps}")
+        n = round(steps) + 1
         return Grid1D(x_min, x_min + (n - 1) * dx, n)
 
 

@@ -11,6 +11,8 @@ then is classified:
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -227,10 +229,13 @@ def _fmt(value) -> str:
 
 
 def records_to_csv(records: list[RegimeRecord]) -> str:
-    """Deterministic CSV rendering (17 significant digits, \\n newlines)."""
-    lines = [",".join(f.name for f in fields(RegimeRecord))]
-    lines += [",".join(_fmt(value) for value in asdict(r).values()) for r in records]
-    return "\n".join(lines) + "\n"
+    """Deterministic CSV rendering (17 significant digits, \\n newlines); a field
+    holding a comma, such as a flag's message, is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(f.name for f in fields(RegimeRecord))
+    writer.writerows([_fmt(value) for value in asdict(r).values()] for r in records)
+    return out.getvalue()
 
 
 def write_scan_csv(records: list[RegimeRecord], path) -> None:

@@ -13,13 +13,14 @@ travel faster than 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .convolve import advection, advection_gradient
 from .grids import Field, Grid1D, periodic_difference
 from .lapack import dpttrf, dpttrs
-from .slab import SlabSolution
+from .slab import SlabSolution, _fkpp_wave
 
 CERTIFICATE_GATE = 0.1  # largest |chi|(1/sigma + sigma^2) the certificate covers
 CERTIFICATE_SPEEDS = (2.0, 2.01, 2.05)
@@ -104,10 +105,10 @@ def principal_eigenpair(V: Field, start: Field | None = None) -> EigenPair:
 
     Cold, the iteration starts from a constant with the shift at min(-V) - 1
     (keeping the matrix positive definite).  Given an approximate ground state
-    as `start` (the eigenvector of a nearby potential, or a transformed slab
-    wave), it starts from that vector with the shift just below its Rayleigh
-    quotient on V; a start that is not positive everywhere is refused, since it
-    can hold the shift between higher eigenvalues.
+    as `start` (the eigenvector of a nearby potential), it starts from that
+    vector with the shift just below its Rayleigh quotient on V; a start that
+    is not positive everywhere is refused, since it can hold the shift between
+    higher eigenvalues.
     Either way the shift is pulled toward the running Rayleigh quotient once
     the iterate settles, which restores fast convergence when the spectral gap
     is small.  Every shift must stay below lambda_0: the positive definite
@@ -236,6 +237,21 @@ def transform_to_w(sol: SlabSolution) -> TransformedProfile:
     return TransformedProfile(w=w, residual=residual)
 
 
+@lru_cache(maxsize=8)
+def _fkpp_ground_state(a: float, dx: float, theta: float) -> np.ndarray:
+    """Ground state of the c_test = 2 potential V = -u of the chi = 0 wave
+    `slab._fkpp_wave` on the same slab grid, scaled to a largest value of 1.
+
+    One cold eigensolve per slab grid serves every certificate on it; the
+    vector is returned read-only.
+    """
+    u = _fkpp_wave(a, dx, theta)[0]
+    phi = principal_eigenpair(Field(Grid1D.from_spacing(-a, a, dx), -u)).phi.values
+    phi /= np.max(phi)
+    phi.setflags(write=False)
+    return phi
+
+
 @dataclass
 class CertificateReport:
     applicable: bool
@@ -255,6 +271,8 @@ def slow_regime_certificate(sol: SlabSolution) -> CertificateReport:
     above 2, the principal eigenvalue must be nonnegative and the
     eigenfunction controlled at the origin.
 
+    The first test speed starts from the slab grid's cached FKPP ground state
+    (`_fkpp_ground_state`), each later one from the previous eigenvector.
     Only applies when |chi|(1/sigma + sigma^2) <= CERTIFICATE_GATE and a >= 60.
     """
     params = sol.config.params
@@ -275,13 +293,8 @@ def slow_regime_certificate(sol: SlabSolution) -> CertificateReport:
             applicable=False, reason="slab solution not converged", a=a, entries=[]
         )
     v, vx = slab_drift(sol)
-    # for c_test near c the transformed wave w is nearly the ground state; it
-    # is exponentiated from its logarithm scaled to a largest value of 1, so it
-    # cannot overflow for any a, and floored so it stays positive where u
-    # vanishes or the factor underflows
-    with np.errstate(divide="ignore"):
-        log_w = np.log(sol.u.values) + _exponent(sol.c, v)
-    start = Field(sol.u.grid, np.maximum(np.exp(log_w - np.max(log_w)), np.finfo(float).tiny))
+    # the chi = 0 wave's ground state is exact at chi = 0 and O(chi) off elsewhere
+    start = Field(sol.u.grid, _fkpp_ground_state(a, sol.config.dx, sol.config.theta))
     entries = []
     for c_test in CERTIFICATE_SPEEDS:
         pot = assemble_potential(sol.u, c_test, v, vx)

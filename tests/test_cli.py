@@ -245,8 +245,8 @@ def test_non_finite_parameters_exit_two(out_dir, capsys, monkeypatch):
     monkeypatch.setattr(slab, "_newton", refuse)
     monkeypatch.setattr(cli, "evolve", refuse)
     # --sigma inf and --dx 0 used to end in an internal ZeroDivisionError (exit
-    # 4), --a inf and --xmax inf in an OverflowError; --dx nan and --dt nan
-    # exited 2 on a message that named no field
+    # 4), --a inf, --xmax inf and --dx 1e-320 in an OverflowError; --dx nan
+    # and --dt nan exited 2 on a message that named no field
     dx_zero = "grid spacing dx = 0.0 must be positive and finite"
     cases = [
         (["slab", "--sigma", "inf", "--a", "20"], "chi and sigma must be finite"),
@@ -256,6 +256,7 @@ def test_non_finite_parameters_exit_two(out_dir, capsys, monkeypatch):
         (["eigen", "--dx", "0"], dx_zero),
         (["slab", "--dx", "nan"], "grid spacing dx = nan must be positive and finite"),
         (["slab", "--a", "inf"], "slab half-length a = inf must be finite"),
+        (["slab", "--dx", "1e-320"], "grid spacing dx = 1e-320 gives a non-finite step count"),
         (["evolve", "--dx", "0", "--tmax", "1"], dx_zero),
         (["evolve", "--dt", "nan"], "dt=nan outside stability budget"),
         (["evolve", "--tmax", "inf"], "t_max = inf must be positive and finite"),

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,20 @@ def test_csv_round_trip(tmp_path, small_scan):
     path = tmp_path / "scan.csv"
     write_scan_csv(records, path)
     assert path.read_text() == text
+
+
+def test_csv_quotes_a_flag_holding_a_comma():
+    # a refused theta's message holds a comma: it stays one field, and rows
+    # without a comma are written as the fields joined by commas
+    flag = "slab-error: theta must lie in (0, -1.85714) for these parameters"
+    plain = make_record()
+    refused = make_record(chi=-20.0, c_slab=None)
+    refused.flags = [flag, "skipped"]
+    text = records_to_csv([plain, refused])
+    header, *rows = list(csv.reader(text.splitlines()))
+    assert [len(row) for row in rows] == [len(header), len(header)]
+    assert rows[1][-1] == flag + ";skipped"
+    assert text.splitlines()[1] == ",".join(rows[0])
 
 
 def test_parallel_scan_matches_serial(small_scan):

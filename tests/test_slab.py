@@ -55,6 +55,9 @@ def test_config_validation():
     for dx in (0.0, -0.05, math.inf, math.nan):
         with pytest.raises(ValueError, match="dx = .* must be positive and finite"):
             SlabConfig(a=60.0, params=params, spec=EXP, dx=dx)
+    # positive and finite, but 120/dx overflows: refused before the grid is sized
+    with pytest.raises(ValueError, match="dx = 1e-320 gives a non-finite step count"):
+        SlabConfig(a=60.0, params=params, spec=EXP, dx=1e-320)
 
 
 def test_linear_bvp_manufactured_solution():

@@ -155,30 +155,78 @@ def test_warm_start_matches_cold_solve_on_certificate_potentials(wave, request):
         assert np.min(pair.phi.values) > 0.0
 
 
-@pytest.mark.parametrize("wave", ["slab_neutral", "slab_repulsive", "slab_attractive"])
-def test_certificate_starts_from_the_transformed_wave(wave, request, monkeypatch):
-    # w = u exp{(c/2)x - (1/2) int_0^x v} is nearly the ground state at c_test = 2
-    sol = request.getfixturevalue(wave)
+def _recorded_certificate(sol, monkeypatch):
+    # the certificate's eigensolves, each with its potential and start; the
+    # slab grid's ground state is cached first, so that its own cold solve is
+    # not recorded
+    config = sol.config
+    spectral._fkpp_ground_state(config.a, config.dx, config.theta)
     solves = []
 
     def recording(V, start=None):
         pair = principal_eigenpair(V, start)
-        solves.append((V, pair))
+        solves.append((V, start, pair))
         return pair
 
     monkeypatch.setattr(spectral, "principal_eigenpair", recording)
-    report = slow_regime_certificate(sol)
+    return slow_regime_certificate(sol), solves
+
+
+@pytest.mark.parametrize("wave", ["slab_neutral", "slab_repulsive", "slab_attractive"])
+def test_certificate_starts_from_the_fkpp_ground_state(wave, request, monkeypatch):
+    # the ground state of the chi = 0 wave's V = -u is exact at chi = 0 and
+    # O(chi) off elsewhere
+    sol = request.getfixturevalue(wave)
+    report, solves = _recorded_certificate(sol, monkeypatch)
     assert report.passed
-    assert solves[0][1].iterations <= 5  # 18 from the cold start
-    for (pot, pair), entry in zip(solves, report.entries, strict=True):
+    assert solves[0][2].iterations <= 5  # 18 from the cold start
+    for (pot, _, pair), entry in zip(solves, report.entries, strict=True):
         assert entry["lambda"] == pair.lam
         assert pair.lam == pytest.approx(principal_eigenpair(pot).lam, abs=1e-12)
         assert pair.lam == pytest.approx(banded_principal_eigenvalue(pot), abs=1e-10)
 
 
+def test_certificate_at_chi_zero_takes_one_iteration_per_speed(slab_neutral, monkeypatch):
+    # at chi = 0 the wave is the cached FKPP wave and the potentials differ from
+    # V = -u by constants, so every start is already the ground state
+    _, solves = _recorded_certificate(slab_neutral, monkeypatch)
+    assert [pair.iterations for _, _, pair in solves] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("wave", ["slab_repulsive", "slab_attractive"])
+def test_certificate_first_solve_takes_at_most_two_iterations(wave, request, monkeypatch):
+    sol = request.getfixturevalue(wave)
+    _, solves = _recorded_certificate(sol, monkeypatch)
+    start = solves[0][1].values
+    assert not start.flags.writeable and np.max(start) == 1.0
+    assert solves[0][2].iterations <= 2
+
+
+def test_ground_state_is_solved_once_per_slab_grid(slab_repulsive, slab_attractive, monkeypatch):
+    # two certificates on one slab grid: one cold eigensolve for the cached
+    # start, then three per certificate
+    spectral._fkpp_ground_state.cache_clear()
+    calls = []
+
+    def counting(V, start=None):
+        calls.append(start is None)
+        return principal_eigenpair(V, start)
+
+    monkeypatch.setattr(spectral, "principal_eigenpair", counting)
+    first = slow_regime_certificate(slab_repulsive)
+    assert calls == [True, False, False, False]
+    calls.clear()
+    second = slow_regime_certificate(slab_attractive)
+    assert calls == [False, False, False]
+    info = spectral._fkpp_ground_state.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first.passed and second.passed
+
+
 def test_certificate_start_cannot_overflow_on_a_wide_slab(monkeypatch):
     # at a = 800 the factor e^{ca/2} overflows, so transform_to_w refuses the
-    # wave; the certificate's start is scaled to a largest value of 1 instead
+    # wave; the certificate's start, the FKPP ground state, is scaled to a
+    # largest value of 1 instead
     config = SlabConfig(a=800.0, params=ChemoParams(-0.005, 2.0), spec=EXP, dx=0.5)
     vals = np.exp(-np.logaddexp(0.0, config.grid.x))  # 1/(1 + e^x), zero past x ~ 745
     vals[-1] = 0.0
@@ -186,15 +234,8 @@ def test_certificate_start_cannot_overflow_on_a_wide_slab(monkeypatch):
     sol = SlabSolution(c=2.0, u=u, residual=0.0, iterations=0, converged=True, config=config, tau_path=[])
     with pytest.raises(OverflowError):
         transform_to_w(sol)
-    starts = []
-
-    def recording(V, start=None):
-        starts.append(start)
-        return principal_eigenpair(V, start)
-
-    monkeypatch.setattr(spectral, "principal_eigenpair", recording)
-    report = slow_regime_certificate(sol)
-    first = starts[0].values
+    report, solves = _recorded_certificate(sol, monkeypatch)
+    first = solves[0][1].values
     assert np.all(np.isfinite(first)) and np.min(first) > 0.0 and np.max(first) == 1.0
     assert report.applicable and len(report.entries) == 3
 
