@@ -44,8 +44,7 @@ SHAPE_SLACK = 1e-6  # slack of slab_bounds_check's sup, monotonicity and lower-b
 # the coupled Newton step's Krylov solve: an inexact step, which the next Newton
 # step absorbs
 GMRES_RTOL = 1e-4  # ends the solve once ||b - J x|| <= GMRES_RTOL ||b||
-GMRES_RESTART = 40  # Krylov directions per cycle
-GMRES_CYCLES = 5  # restarted cycles allowed
+GMRES_MAX_DIRECTIONS = 40  # Krylov directions allowed per solve, in one Arnoldi cycle
 
 
 def theta_max(params: ChemoParams) -> float:
@@ -132,60 +131,51 @@ def _bvp_residual(u: np.ndarray, c: float, v: np.ndarray, dx: float, pin: int, t
 
 
 def _gmres(apply, b: np.ndarray) -> np.ndarray:
-    """Restarted GMRES for A M^-1 y = b from y = 0, returning the step M^-1 y.
+    """GMRES for A M^-1 y = b from y = 0 in one Arnoldi cycle, returning the
+    step M^-1 y.
 
     `apply(v)` returns the pair (A M^-1 v, M^-1 v) as new arrays; the first is
     orthogonalized in place.  As in flexible GMRES (Saad 1993), the
     preconditioned directions Z = M^-1 V are kept, so the step is Z y and
     costs no further M^-1; starting from zero, the first residual is b itself,
-    not a product.  The solve ends when the Givens estimate of
-    ||b - A M^-1 y|| falls to GMRES_RTOL ||b|| or at happy breakdown
-    (H[j+1, j] = 0).  Otherwise a cycle ends after GMRES_RESTART directions
-    and the next starts from the residual V (beta e1 - H y) of the Arnoldi
-    relation, up to GMRES_CYCLES cycles.
+    not a product, and b is never zero here (`_newton` asks for a step only
+    while max|F| >= NEWTON_TOL).  Each new column of the Hessenberg matrix is
+    reduced by the Givens rotations so far and kept only as a column of their
+    QR factor R.  The solve ends when the Givens estimate of ||b - A M^-1 y||
+    falls to GMRES_RTOL ||b||, at happy breakdown (h_{j+1,j} = 0), or after
+    GMRES_MAX_DIRECTIONS directions, with the least-squares y over the
+    directions built: there is no restart, and the next Newton step absorbs
+    an inexact step.
     """
-    restart = GMRES_RESTART
-    target = GMRES_RTOL * np.sqrt(b @ b)
-    x = np.zeros(b.size)
-    r = b
-    for _ in range(GMRES_CYCLES):
-        beta = np.sqrt(r @ r)
-        if beta <= target:
+    beta = np.sqrt(b @ b)
+    target = GMRES_RTOL * beta
+    V, Z = [b / beta], []
+    R = np.zeros((GMRES_MAX_DIRECTIONS, GMRES_MAX_DIRECTIONS))
+    rotations = []
+    g = [beta]  # Q^T beta e1; |g[j+1]| is the residual norm after j+1 directions
+    for j in range(GMRES_MAX_DIRECTIONS):
+        w, z = apply(V[j])
+        Z.append(z)
+        col = []
+        for v in V:  # modified Gram-Schmidt: column j of the Hessenberg matrix
+            col.append(v @ w)
+            w -= col[-1] * v
+        h_next = np.sqrt(w @ w)
+        col.append(h_next)
+        for i, (cs, sn) in enumerate(rotations):
+            col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+        rho = math.hypot(col[j], col[j + 1])
+        cs, sn = col[j] / rho, col[j + 1] / rho
+        rotations.append((cs, sn))
+        R[:j, j] = col[:j]
+        R[j, j] = rho
+        g[j], g_next = cs * g[j], -sn * g[j]
+        g.append(g_next)
+        if h_next == 0.0 or abs(g_next) <= target:
             break
-        V, Z = [r / beta], []
-        H = np.zeros((restart + 1, restart))  # the Arnoldi Hessenberg matrix
-        R = np.zeros((restart, restart))  # its QR factor, by Givens rotations
-        rotations = []
-        g = [beta]  # Q^T beta e1; |g[j+1]| is the residual norm after j+1 directions
-        for j in range(restart):
-            w, z = apply(V[j])
-            Z.append(z)
-            for i in range(j + 1):  # modified Gram-Schmidt
-                H[i, j] = V[i] @ w
-                w -= H[i, j] * V[i]
-            H[j + 1, j] = np.sqrt(w @ w)
-            col = H[: j + 2, j].tolist()
-            for i, (cs, sn) in enumerate(rotations):
-                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
-            rho = math.hypot(col[j], col[j + 1])
-            cs, sn = col[j] / rho, col[j + 1] / rho
-            rotations.append((cs, sn))
-            R[:j, j] = col[:j]
-            R[j, j] = rho
-            g[j], g_next = cs * g[j], -sn * g[j]
-            g.append(g_next)
-            done = H[j + 1, j] == 0.0 or abs(g_next) <= target
-            if done:
-                break
-            V.append(w / H[j + 1, j])
-        coef = np.linalg.solve(R[: j + 1, : j + 1], g[: j + 1])
-        x += coef @ np.array(Z)
-        if done:
-            break
-        in_basis = -(H @ coef)  # beta e1 - H y
-        in_basis[0] += beta
-        r = in_basis @ np.array(V)
-    return x
+        V.append(w / h_next)
+    coef = np.linalg.solve(R[: j + 1, : j + 1], g[: j + 1])
+    return coef @ np.array(Z)
 
 
 def _newton(

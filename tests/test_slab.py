@@ -373,30 +373,16 @@ def test_gmres_matches_dense_solve(seed):
     assert np.linalg.norm(b - A @ x) <= slab.GMRES_RTOL * np.linalg.norm(b)
     exact = np.linalg.solve(A, b)
     assert np.linalg.norm(x - exact) <= 1e-3 * np.linalg.norm(exact)
-    assert len(calls) < slab.GMRES_RESTART
-
-
-def test_gmres_restarts_from_the_arnoldi_residual(monkeypatch):
-    # three directions per cycle cannot reach the tolerance: the later cycles
-    # start from V (beta e1 - H y), and the true residual still meets it
-    monkeypatch.setattr(slab, "GMRES_RESTART", 3)
-    rng = np.random.default_rng(7)
-    n = 40
-    A = np.eye(n) + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
-    b = rng.standard_normal(n)
-    apply, calls = _counted(A, np.ones(n))
-    x = slab._gmres(apply, b)
-    assert len(calls) > 3
-    assert np.linalg.norm(b - A @ x) <= slab.GMRES_RTOL * np.linalg.norm(b)
+    assert len(calls) < slab.GMRES_MAX_DIRECTIONS
 
 
 def test_gmres_applies_the_operator_once_per_krylov_direction(monkeypatch):
     # four distinct eigenvalues: the Krylov space is exhausted (happy
     # breakdown) after four directions, each one operator application, and
-    # none is spent on the zero start; the breakdown falls on the cycle's last
-    # direction, so it must end the solve rather than start another cycle
+    # none is spent on the zero start; the breakdown falls on the last allowed
+    # direction, and it ends the solve with the exact step
     monkeypatch.setattr(slab, "GMRES_RTOL", 1e-14)
-    monkeypatch.setattr(slab, "GMRES_RESTART", 4)
+    monkeypatch.setattr(slab, "GMRES_MAX_DIRECTIONS", 4)
     rng = np.random.default_rng(3)
     A = np.diag(np.repeat([1.0, 2.0, 4.0, 8.0], 5))
     b = rng.standard_normal(20)
@@ -405,6 +391,34 @@ def test_gmres_applies_the_operator_once_per_krylov_direction(monkeypatch):
     assert len(calls) == 4
     assert all(np.linalg.norm(y) > 0.0 for y in calls)
     assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-12, atol=0.0)
+
+
+def test_krylov_solve_stops_at_the_direction_cap_and_the_fallback_converges(monkeypatch):
+    # a fast wave: the first plain Newton step from the FKPP wave exhausts the
+    # Krylov directions without meeting GMRES_RTOL, plain Newton rejects that
+    # step, and pseudo-transient continuation converges to the positive wave
+    real = slab._gmres
+    directions = []
+
+    def counted(apply, b):
+        calls = itertools.count()
+
+        def counted_apply(y):
+            next(calls)
+            return apply(y)
+
+        x = real(counted_apply, b)
+        directions.append(next(calls))
+        return x
+
+    monkeypatch.setattr(slab, "_gmres", counted)
+    config = SlabConfig(a=240.0, params=ChemoParams(-20.0, 200.0), spec=EXP, dx=0.5)
+    sol = fixed_point(config)
+    assert directions[0] == slab.GMRES_MAX_DIRECTIONS
+    assert max(directions[1:]) < slab.GMRES_MAX_DIRECTIONS
+    assert sol.converged and np.min(sol.u.values[1:-1]) > 0.0
+    assert sol.c == pytest.approx(11.376619898325078, rel=0.0, abs=1e-12)
+    assert sol.iterations == 56
 
 
 def test_coupled_solve_never_convolves_a_zero_field(monkeypatch):

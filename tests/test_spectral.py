@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,10 +75,13 @@ def test_assemble_potential_constant_inputs():
 
 
 def test_assemble_potential_rejects_slow_speeds():
+    # nan and inf too: a test that only refuses c < 1.9 lets them through, to
+    # fail later on a message that names no input
     grid = Grid1D.from_spacing(-10.0, 10.0, 0.1)
     zero = constant_field(grid, 0.0)
-    with pytest.raises(ValueError):
-        assemble_potential(zero, 1.5, zero, zero)
+    for c in (1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"test speed c = {c} must be finite and at least 1.9"):
+            assemble_potential(zero, c, zero, zero)
 
 
 def test_assemble_potential_two_forms_agree_on_slab(slab_repulsive):
