@@ -26,7 +26,7 @@ from .grids import Field, Grid1D
 from .kernels import ChemoParams, parse_kernel, validate_kernel
 from .scan import FAILURE_FLAGS, ScanConfig, run_scan, sandwich_table, write_scan_csv
 from .slab import SlabConfig, SlabSolution, fixed_point
-from .spectral import assemble_potential, principal_eigenpair, slab_drift
+from .spectral import assemble_potential, check_test_speed, principal_eigenpair, slab_drift
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -237,6 +237,7 @@ def _cmd_slab(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
+    check_test_speed(args.ctest)  # before the slab solve, which a refused speed would waste
     sol = _slab_wave(args)
     if not sol.converged:
         print("slab solve did not converge", file=sys.stderr)

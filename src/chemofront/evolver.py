@@ -291,7 +291,11 @@ def measure_speed(
 
 def speed_from_integral(u: Field) -> float:
     """integral of u(1-u): equals the wave speed for a steady profile in the
-    moving frame connecting 1 to 0.  The constant tails contribute nothing."""
-    if (u.left_ext, u.right_ext) not in {(1.0, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 1.0)}:
-        raise ValueError("extensions must be 0 or 1 for the integral identity")
+    moving frame connecting 1 to 0.  The constant tails contribute nothing.
+
+    Integrating the wave equation gives c (u(-inf) - u(inf)) = int u(1-u), so
+    only the extensions (1, 0) are accepted: (0, 1) would flip the speed's
+    sign, and equal extensions leave no speed to read."""
+    if (u.left_ext, u.right_ext) != (1.0, 0.0):
+        raise ValueError("extensions must be (1, 0) for the integral identity")
     return float(u.grid.dx * np.sum(u.values * (1.0 - u.values)))

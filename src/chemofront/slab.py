@@ -14,7 +14,7 @@ the solution of the frozen-coefficient linear problem
 has the wave as its fixed point.  That fixed point is computed by one Newton
 method on (u, c) jointly, with the normalization as the extra equation and the
 nonlocal drift in the Jacobian.  The pure FKPP slab (tau = 0, coupling 0) is
-solved first, once per (a, dx, theta), from a sigmoid seed: it reads neither
+solved first, once per grid and theta, from a sigmoid seed: it reads neither
 chi nor the kernel.  The model (tau = 1) is then solved from its wave.  Both
 stages are one procedure: full Newton steps while each lowers the max-norm
 residual; if one does not, or the root is not positive, pseudo-transient
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -73,8 +73,9 @@ class SlabConfig:
         except ValueError:
             raise ValueError(f"a = {self.a:g} is not a whole number of dx = {self.dx:g} steps") from None
 
-    @property
+    @cached_property
     def grid(self) -> Grid1D:
+        """The slab grid: dx-spaced nodes on [-a, a], built once per config."""
         return Grid1D.from_spacing(-self.a, self.a, self.dx)
 
 
@@ -105,10 +106,9 @@ def _bands(c: float, v: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray, 
     return lower, main, upper
 
 
-def _seed_profile(config: SlabConfig) -> Field:
+def _seed_profile(grid: Grid1D, theta: float) -> Field:
     """Decreasing sigmoid with value theta at x=0 and extensions (1, 0)."""
-    grid = config.grid
-    t = grid.x - np.log(config.theta / (1.0 - config.theta))
+    t = grid.x - np.log(theta / (1.0 - theta))
     # where e^t would overflow, e^-t (the two agree to 1e-304 there); it
     # underflows to exactly 0 past t ~ 745, which the fallback's steps only raise
     vals = np.where(
@@ -179,12 +179,9 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
 
 
 def _newton(
-    u: np.ndarray,
-    c: float,
-    config: SlabConfig,
-    delta: float = math.inf,
+    u: np.ndarray, c: float, grid: Grid1D, theta: float, drift=None, delta: float = math.inf
 ) -> tuple[np.ndarray, float, float, int, bool]:
-    """Newton on the slab equations augmented with u[pin] = theta.
+    """Newton on the slab equations on `grid` augmented with u[pin] = theta.
 
     Every step is a full step.  With delta = inf (plain Newton) the solve
     stops, unconverged, at the first step that does not lower the max-norm
@@ -210,20 +207,17 @@ def _newton(
     or negative one is only raised.  With delta = inf the diagonal term is
     1/inf = 0 and the step is plain Newton.
 
-    The grid is read once, and a coupled solve fetches the cached drift
-    operator of (kernel, sigma, dx, n) once: the frozen drift
-    v = chi K_sigma * u~ and the Jacobian's dv are that operator applied to
-    plain arrays (no drift at all without coupling).  A trial whose u or c
-    is not finite is not evaluated: the solve ends unconverged and returns
-    the last finite iterate and its residual.
+    `drift(values, left_ext, right_ext)` is the coupling: chi K_sigma * the
+    extended array, the frozen drift v = drift(u, 1, 0) and the Jacobian's
+    dv = drift(du, 0, 0) (`fixed_point` binds one cached drift operator's
+    `advection` to chi).  With drift None (tau = 0, or chi = 0) the solve is
+    uncoupled and makes no convolution.  A trial whose u or c is not finite
+    is not evaluated: the solve ends unconverged and returns the last finite
+    iterate and its residual.
     """
-    grid = config.grid
     n, dx, i0 = grid.n, grid.dx, grid.index_of(0.0)
-    chi, theta = config.params.chi, config.theta
-    coupled = chi != 0.0
     pseudo = delta < math.inf
-    drift = drift_operator(config.spec, config.params.sigma, dx, n) if coupled else None
-    v = drift.advection(u, 1.0, 0.0, chi) if coupled else np.zeros(n)
+    v = drift(u, 1.0, 0.0) if drift is not None else np.zeros(n)
     pin = i0 + int(np.argmax(u[i0:]))
     F = _bvp_residual(u, c, v, dx, pin, theta)
     for it in range(1, NEWTON_MAX_ITER + 1):
@@ -244,11 +238,11 @@ def _newton(
             dc = (r1[pin] - r[-1]) / r2[pin]
             return np.append(r1 - dc * r2, dc)
 
-        if coupled:
+        if drift is not None:
 
             def preconditioned_jacobian(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 z = bordered_solve(y)
-                dv = drift.advection(z[:-1], 0.0, 0.0, chi)
+                dv = drift(z[:-1], 0.0, 0.0)
                 out = y.copy()
                 out[1:-2] -= (u[2:] * dv[2:] - u[:-2] * dv[:-2]) / (2.0 * dx)
                 return out, z
@@ -265,7 +259,7 @@ def _newton(
             u_next[1:-1] = inner * np.exp(ratio) + np.maximum(d, 0.0)
         if not (np.all(np.isfinite(u_next)) and math.isfinite(c_next)):
             break
-        v_next = drift.advection(u_next, 1.0, 0.0, chi) if coupled else v
+        v_next = drift(u_next, 1.0, 0.0) if drift is not None else v
         F_next = _bvp_residual(u_next, c_next, v_next, dx, pin, theta)
         res_next = np.max(np.abs(F_next))
         if pseudo:
@@ -283,28 +277,29 @@ def _positive_interior(u: np.ndarray) -> bool:
     return bool(np.min(u[1:-1]) > 0.0)
 
 
-def _solve(u: np.ndarray, c: float, config: SlabConfig) -> tuple[np.ndarray, float, float, int, bool]:
+def _solve(
+    u: np.ndarray, c: float, grid: Grid1D, theta: float, drift=None
+) -> tuple[np.ndarray, float, float, int, bool]:
     """Plain Newton from (u, c); if it stops, or its root is not positive at
     every interior node, pseudo-transient continuation from the same start at
     pseudo-time step PTC_DELTA0.  The flag is True only for a converged root
     positive at every interior node."""
-    u_end, c_end, residual, iterations, ok = _newton(u, c, config)
+    u_end, c_end, residual, iterations, ok = _newton(u, c, grid, theta, drift)
     if not (ok and _positive_interior(u_end)):
-        u_end, c_end, residual, more, ok = _newton(u, c, config, delta=PTC_DELTA0)
+        u_end, c_end, residual, more, ok = _newton(u, c, grid, theta, drift, delta=PTC_DELTA0)
         iterations += more
     return u_end, c_end, residual, iterations, ok and _positive_interior(u_end)
 
 
 @lru_cache(maxsize=8)
-def _fkpp_wave(a: float, dx: float, theta: float) -> tuple[np.ndarray, float, float, int, bool]:
-    """The tau = 0 stage: the pure FKPP slab solved from the sigmoid seed.
+def _fkpp_wave(grid: Grid1D, theta: float) -> tuple[np.ndarray, float, float, int, bool]:
+    """The tau = 0 stage on a slab grid: the pure FKPP slab solved from the
+    sigmoid seed.
 
-    Without coupling `_newton` reads neither sigma nor the kernel, so every
-    (chi, sigma) on one slab grid shares this solve; the profile is returned
-    read-only.
+    It reads neither chi, sigma nor the kernel, so every (chi, sigma) on one
+    slab grid and theta shares this solve; the profile is returned read-only.
     """
-    config = SlabConfig(a, ChemoParams(0.0, 1.0), KernelSpec("exp"), theta, dx)
-    u, c, residual, iterations, ok = _solve(_seed_profile(config).values, 2.0, config)
+    u, c, residual, iterations, ok = _solve(_seed_profile(grid, theta).values, 2.0, grid, theta)
     u.setflags(write=False)
     return u, c, residual, iterations, ok
 
@@ -312,24 +307,31 @@ def _fkpp_wave(a: float, dx: float, theta: float) -> tuple[np.ndarray, float, fl
 def fixed_point(config: SlabConfig) -> SlabSolution:
     """Solve the slab problem at tau = 0 (the FKPP limit, shared by every call
     on the same slab grid through `_fkpp_wave`), then at tau = 1 (the model)
-    from that wave, each stage by `_solve`.
+    from that wave, each stage by `_solve` on `config.grid`.
 
-    On non-convergence the best iterate is returned flagged, not raised; so
-    is a root that is not positive at every interior node (a sign-changing
-    solution of the slab equations, not a wave).  A tau = 0 stage that fails
-    is returned as it ends, with no tau = 1 solve.
+    The model stage's drift is the cached drift operator of
+    (kernel, sigma, dx, n), fetched once and bound to chi; at chi = 0 there
+    is none.  On non-convergence the best iterate is returned flagged, not
+    raised; so is a root that is not positive at every interior node (a
+    sign-changing solution of the slab equations, not a wave).  A tau = 0
+    stage that fails is returned as it ends, with no tau = 1 solve.
     """
-    u, c, residual, total_iters, ok = _fkpp_wave(config.a, config.dx, config.theta)
+    grid, theta, chi = config.grid, config.theta, config.params.chi
+    u, c, residual, total_iters, ok = _fkpp_wave(grid, theta)
     # a copy: at chi = 0 the model solve returns its start, the cached read-only wave
     u = u.copy()
     path = [(0.0, c)]
     if ok:
-        u, c, residual, iters, ok = _solve(u, c, config)
+        drift = None
+        if chi != 0.0:
+            op = drift_operator(config.spec, config.params.sigma, grid.dx, grid.n)
+            drift = partial(op.advection, chi=chi)
+        u, c, residual, iters, ok = _solve(u, c, grid, theta, drift)
         total_iters += iters
         path.append((1.0, c))
     return SlabSolution(
         c=c,
-        u=Field(config.grid, u, left_ext=1.0, right_ext=0.0),
+        u=Field(grid, u, left_ext=1.0, right_ext=0.0),
         residual=residual,
         iterations=total_iters,
         converged=ok,

@@ -49,13 +49,18 @@ class TransformedProfile:
     residual: float
 
 
+def check_test_speed(c: float) -> None:
+    """Refuse a test speed that is not finite and at least 1.9 (nan included)."""
+    if not 2.0 - 0.1 <= c < math.inf:
+        raise ValueError(f"test speed c = {c} must be finite and at least 1.9")
+
+
 def assemble_potential(u: Field, c: float, v: Field, vx: Field) -> Field:
     """Build V = -u - eps(1 + eps/4) + v(c/2 - v/4) + v_x/2 from profile, speed
     and drift."""
     if u.grid != v.grid or u.grid != vx.grid:
         raise ValueError("potential inputs must share a grid")
-    if not 2.0 - 0.1 <= c < math.inf:
-        raise ValueError(f"test speed c = {c} must be finite and at least 1.9")
+    check_test_speed(c)
     eps = c - 2.0
     vals = (
         -u.values
@@ -157,8 +162,6 @@ def principal_eigenpair(V: Field, start: Field | None = None) -> EigenPair:
     else:
         raise np.linalg.LinAlgError(f"inverse iteration stagnated (residual {res:.3e})")
 
-    if x.sum() < 0:
-        x = -x
     if np.min(x) <= 0.0:
         raise np.linalg.LinAlgError("principal eigenvector changed sign")
     phi = Field(V.grid, np.append(x, x[0]) / x[0])
@@ -239,15 +242,15 @@ def transform_to_w(sol: SlabSolution) -> TransformedProfile:
 
 
 @lru_cache(maxsize=8)
-def _fkpp_ground_state(a: float, dx: float, theta: float) -> np.ndarray:
+def _fkpp_ground_state(grid: Grid1D, theta: float) -> np.ndarray:
     """Ground state of the c_test = 2 potential V = -u of the chi = 0 wave
-    `slab._fkpp_wave` on the same slab grid, scaled to a largest value of 1.
+    `slab._fkpp_wave(grid, theta)`, scaled to a largest value of 1.
 
-    One cold eigensolve per slab grid serves every certificate on it; the
-    vector is returned read-only.
+    One cold eigensolve per slab grid and theta serves every certificate on
+    it; the vector is returned read-only.
     """
-    u = _fkpp_wave(a, dx, theta)[0]
-    phi = principal_eigenpair(Field(Grid1D.from_spacing(-a, a, dx), -u)).phi.values
+    u = _fkpp_wave(grid, theta)[0]
+    phi = principal_eigenpair(Field(grid, -u)).phi.values
     phi /= np.max(phi)
     phi.setflags(write=False)
     return phi
@@ -276,8 +279,8 @@ def slow_regime_certificate(sol: SlabSolution) -> CertificateReport:
     (`_fkpp_ground_state`), each later one from the previous eigenvector.
     Only applies when |chi|(1/sigma + sigma^2) <= CERTIFICATE_GATE and a >= 60.
     """
-    params = sol.config.params
-    a = sol.config.a
+    config = sol.config
+    params, a = config.params, config.a
     size = slow_predicate(params.chi, params.sigma)
     if size > CERTIFICATE_GATE or a < 60.0:
         return CertificateReport(
@@ -295,7 +298,7 @@ def slow_regime_certificate(sol: SlabSolution) -> CertificateReport:
         )
     v, vx = slab_drift(sol)
     # the chi = 0 wave's ground state is exact at chi = 0 and O(chi) off elsewhere
-    start = Field(sol.u.grid, _fkpp_ground_state(a, sol.config.dx, sol.config.theta))
+    start = Field(config.grid, _fkpp_ground_state(config.grid, config.theta))
     entries = []
     for c_test in CERTIFICATE_SPEEDS:
         pot = assemble_potential(sol.u, c_test, v, vx)

@@ -262,6 +262,10 @@ def test_non_finite_parameters_exit_two(out_dir, capsys, monkeypatch):
         (["evolve", "--tmax", "inf"], "t_max = inf must be positive and finite"),
         (["evolve", "--snapshot-every", "nan"], "snapshot_every = nan must be positive and finite"),
         (["evolve", "--xmax", "inf"], "grid bounds x_min = -50.0 and x_max = inf must be finite"),
+        # a test speed is refused before the slab solve
+        (["eigen", "--ctest", "nan"], "test speed c = nan must be finite and at least 1.9"),
+        (["eigen", "--ctest", "inf"], "test speed c = inf must be finite and at least 1.9"),
+        (["eigen", "--ctest", "1.5"], "test speed c = 1.5 must be finite and at least 1.9"),
     ]
     for argv, message in cases:
         assert run(argv) == EXIT_CONFIG

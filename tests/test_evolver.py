@@ -136,10 +136,14 @@ def test_speed_from_integral_sigmoid():
 
 
 def test_speed_from_integral_rejects_other_extensions():
+    # c (u(-inf) - u(inf)) = int u(1-u): only a profile connecting 1 to 0 has
+    # its speed as the integral; (0, 1) would flip its sign, and equal
+    # extensions have no speed to read
     grid = Grid1D.from_spacing(-5.0, 5.0, 0.1)
-    u = Field(grid, np.zeros(grid.n), left_ext=0.5)
-    with pytest.raises(ValueError):
-        speed_from_integral(u)
+    for left, right in [(0.5, 0.0), (0.0, 0.0), (0.0, 1.0), (1.0, 1.0)]:
+        u = Field(grid, np.zeros(grid.n), left_ext=left, right_ext=right)
+        with pytest.raises(ValueError, match=r"extensions must be \(1, 0\)"):
+            speed_from_integral(u)
 
 
 def test_front_speed_without_advection():

@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from chemofront.grids import Field, tridiagonal_solver
 from chemofront.kernels import ChemoParams, KernelSpec
 from chemofront import slab
-from chemofront.convolve import advection
+from chemofront.convolve import advection, drift_operator
 from chemofront.slab import (
     SlabConfig,
     SlabSolution,
@@ -153,13 +154,18 @@ def test_uncoupled_solve_makes_no_convolution(monkeypatch):
     assert sol.c == pytest.approx(REFERENCE_SPEEDS[(0.0, 1.0)], abs=1e-9)
 
 
+def _exp_drift(grid, chi):
+    # the model stage's drift as `fixed_point` binds it (exp kernel, sigma = 1); none at chi = 0
+    return partial(drift_operator(EXP, 1.0, grid.dx, grid.n).advection, chi=chi) if chi else None
+
+
 def _newton_calls(monkeypatch):
     # the (delta, converged, iterations) of every `_newton` call, in order
     calls = []
     real = slab._newton
 
-    def spy(u, c, config, delta=math.inf):
-        out = real(u, c, config, delta)
+    def spy(u, c, grid, theta, drift=None, delta=math.inf):
+        out = real(u, c, grid, theta, drift, delta)
         calls.append((delta, out[4], out[3]))
         return out
 
@@ -239,11 +245,11 @@ def test_sign_changing_root_is_not_converged(chi):
     # a solve started there falls back to pseudo-transient continuation from
     # that root, which is already a root, so the root, or the nearby one of
     # the model, comes back flagged
-    fkpp = SlabConfig(a=240.0, params=ChemoParams(0.0, 1.0), spec=EXP)
-    u, c, _, _, ok = slab._newton(slab._seed_profile(fkpp).values, 2.0, fkpp)
-    assert ok and np.min(u[1:-1]) < 0.0
     config = SlabConfig(a=240.0, params=ChemoParams(chi, 1.0), spec=EXP)
-    u, c, residual, iterations, ok = slab._solve(u, c, config)
+    grid, theta = config.grid, config.theta
+    u, c, _, _, ok = slab._newton(slab._seed_profile(grid, theta).values, 2.0, grid, theta)
+    assert ok and np.min(u[1:-1]) < 0.0
+    u, c, residual, iterations, ok = slab._solve(u, c, grid, theta, _exp_drift(grid, chi))
     sol = SlabSolution(
         c=c,
         u=Field(config.grid, u, left_ext=1.0, right_ext=0.0),
@@ -337,6 +343,23 @@ def test_cached_fkpp_wave_gives_the_cold_solution(chi):
             assert getattr(cold, field.name) == getattr(cached, field.name), field.name
 
 
+def test_cold_fkpp_wave_reads_only_the_grid_and_theta(monkeypatch):
+    # the chi-free stage is keyed by the slab grid and theta: no config is
+    # made up to reach the grid
+    config = SlabConfig(a=40.0, params=ChemoParams(-0.05, 1.0), spec=EXP)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the FKPP stage built a SlabConfig")
+
+    slab._fkpp_wave.cache_clear()
+    monkeypatch.setattr(slab, "SlabConfig", refuse)
+    u, c, residual, iterations, ok = slab._fkpp_wave(config.grid, config.theta)
+    assert ok and residual < slab.NEWTON_TOL and not u.flags.writeable
+    assert slab._fkpp_wave.cache_info().misses == 1
+    monkeypatch.undo()
+    assert fixed_point(config).tau_path[0] == (0.0, c)
+
+
 def test_writing_the_profile_leaves_the_next_solve_unchanged():
     # at chi = 0 the jump returns the tau = 0 wave itself: it must be a copy
     config = SlabConfig(a=40.0, params=ChemoParams(0.0, 1.0), spec=EXP)
@@ -346,7 +369,7 @@ def test_writing_the_profile_leaves_the_next_solve_unchanged():
     again = fixed_point(config)
     assert np.array_equal(again.u.values, expected)
     assert again.u.values.flags.writeable
-    assert not np.shares_memory(again.u.values, slab._fkpp_wave(config.a, config.dx, config.theta)[0])
+    assert not np.shares_memory(again.u.values, slab._fkpp_wave(config.grid, config.theta)[0])
 
 
 def _counted(A, m):
@@ -461,10 +484,11 @@ def test_non_finite_trial_ends_the_solve_at_the_last_finite_iterate(monkeypatch,
             return step
 
         monkeypatch.setattr(slab, "tridiagonal_solver", infinite_step)
-    start = slab._seed_profile(config).values
+    grid = config.grid
+    start, drift = slab._seed_profile(grid, config.theta).values, _exp_drift(grid, chi)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        u, c, residual, iterations, converged = slab._newton(start, 2.0, config, delta)
+        u, c, residual, iterations, converged = slab._newton(start, 2.0, grid, config.theta, drift, delta)
     assert caught == []
     assert u is start and c == 2.0 and iterations == 1 and not converged
     assert math.isfinite(residual)
@@ -474,7 +498,7 @@ def test_seed_profile_on_a_wide_slab_does_not_overflow():
     # at a = 800, x - shift reaches ~805: 1/(1 + e^t) would overflow there
     # (a RuntimeWarning, an error under this suite's settings)
     config = SlabConfig(a=800.0, params=ChemoParams(-0.05, 4.0), spec=EXP, dx=0.5)
-    vals = slab._seed_profile(config).values
+    vals = slab._seed_profile(config.grid, config.theta).values
     t = config.grid.x - np.log(config.theta / (1.0 - config.theta))
     with np.errstate(over="ignore"):
         plain = 1.0 / (1.0 + np.exp(t))

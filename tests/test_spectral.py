@@ -165,7 +165,7 @@ def _recorded_certificate(sol, monkeypatch):
     # slab grid's ground state is cached first, so that its own cold solve is
     # not recorded
     config = sol.config
-    spectral._fkpp_ground_state(config.a, config.dx, config.theta)
+    spectral._fkpp_ground_state(config.grid, config.theta)
     solves = []
 
     def recording(V, start=None):
@@ -226,6 +226,26 @@ def test_ground_state_is_solved_once_per_slab_grid(slab_repulsive, slab_attracti
     info = spectral._fkpp_ground_state.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert first.passed and second.passed
+
+
+def test_warm_certified_wave_builds_one_grid(monkeypatch):
+    # the config builds the slab grid; the cached FKPP wave and ground state
+    # are keyed by it, and the solve and the certificate read it
+    def certified():
+        sol = fixed_point(SlabConfig(a=60.0, params=ChemoParams(-0.02, 1.0), spec=EXP))
+        return slow_regime_certificate(sol)
+
+    certified()  # warms both caches and the drift operator
+    built = []
+    real = Grid1D.__post_init__
+
+    def counting(grid):
+        built.append(grid)
+        real(grid)
+
+    monkeypatch.setattr(Grid1D, "__post_init__", counting)
+    assert certified().passed
+    assert len(built) == 1
 
 
 def test_certificate_start_cannot_overflow_on_a_wide_slab(monkeypatch):
@@ -399,7 +419,7 @@ def test_certificate_refuses_out_of_hypothesis():
 
     sol = SlabSolution(
         c=2.0,
-        u=_seed_profile(config),
+        u=_seed_profile(config.grid, config.theta),
         residual=0.0,
         iterations=0,
         converged=True,
