@@ -196,6 +196,9 @@ def _cmd_evolve(args) -> int:
             **{key: getattr(est, key, None) for key in ("c", "stderr", "window")},
             "clipped_mass": traj.clipped_mass,
             "abort_reason": traj.abort_reason,
+            # first and last node the last step advanced; null if none was taken
+            "stepped_window": None if traj.stepped is None
+            else [float(grid.x[traj.stepped[0]]), float(grid.x[traj.stepped[1] - 1])],
         },
     )
     speed = "no speed" if est is None else f"c = {est.c:.6f} (stderr {est.stderr:.2e})"

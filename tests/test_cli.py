@@ -86,7 +86,7 @@ def test_evolve_command_end_to_end(out_dir):
             "--xmin",
             "-20",
             "--xmax",
-            "100",
+            "200",
             "--dx",
             "0.2",
             "--dt",
@@ -100,6 +100,9 @@ def test_evolve_command_end_to_end(out_dir):
     assert code == EXIT_OK
     meta = json.loads((out_dir / "run.csv.meta.json").read_text())
     assert 1.5 < meta["c"] < 2.1
+    # the last step advanced a window of 50 + 100 x units that had left x_min behind
+    x_lo, x_hi = meta["stepped_window"]
+    assert x_lo > -20.0 and x_hi - x_lo == pytest.approx(149.8)
 
 
 def test_unconverged_slab_solve_exits_three(out_dir, capped_slab_newton):
@@ -262,6 +265,12 @@ def test_non_finite_parameters_exit_two(out_dir, capsys, monkeypatch):
         (["evolve", "--tmax", "inf"], "t_max = inf must be positive and finite"),
         (["evolve", "--snapshot-every", "nan"], "snapshot_every = nan must be positive and finite"),
         (["evolve", "--xmax", "inf"], "grid bounds x_min = -50.0 and x_max = inf must be finite"),
+        # finite times whose step counts overflow (an internal OverflowError, exit 4, before)
+        (["evolve", "--tmax", "1e308"], "t_max = 1e+308 with dt = 0.002 gives a non-finite step count"),
+        (["evolve", "--snapshot-every", "1e308", "--tmax", "1"],
+         "snapshot_every = 1e+308 with dt = 0.002 gives a non-finite step count"),
+        (["evolve", "--dt", "1e-320", "--tmax", "1"],
+         "t_max = 1.0 with dt = 1e-320 gives a non-finite step count"),
         # a test speed is refused before the slab solve
         (["eigen", "--ctest", "nan"], "test speed c = nan must be finite and at least 1.9"),
         (["eigen", "--ctest", "inf"], "test speed c = inf must be finite and at least 1.9"),

@@ -54,6 +54,11 @@ def test_config_validation():
             make_config(grid, **{field: float("nan")})
     with pytest.raises(ValueError, match="t_max = inf"):
         make_config(grid, t_max=float("inf"))
+    # finite, but the step counts overflow
+    for field, values in [("t_max", dict(t_max=1e308)), ("snapshot_every", dict(snapshot_every=1e308)),
+                          ("t_max", dict(dt=1e-320))]:
+        with pytest.raises(ValueError, match=f"{field} = .* gives a non-finite step count"):
+            make_config(grid, **values)
     with pytest.raises(ValueError, match="grid bounds"):
         Grid1D(-10.0, float("inf"), 201)
     other = Grid1D.from_spacing(-5.0, 5.0, 0.1)
@@ -364,3 +369,76 @@ def test_nonzero_right_extension_is_never_trimmed(monkeypatch):
     assert len(trimmed.front_positions) == 11
     assert trimmed.front_positions == whole.front_positions
     assert np.array_equal(trimmed.final().values, whole.final().values)
+
+
+def windowed_and_whole_runs(monkeypatch, config):
+    """The run as evolve does it, and the same run with a window as long as
+    the grid, stepping [0, m) at every step; each with its solver sizes."""
+    runs = []
+    for lengths in ({}, {"WINDOW_BEHIND": np.inf, "WINDOW_AHEAD": np.inf}):
+        sizes = []
+
+        def fetch_solver(n, a):
+            sizes.append(n)
+            return _diffusion_solver(n, a)
+
+        with monkeypatch.context() as patch:
+            for name, length in lengths.items():
+                patch.setattr(evolver, name, length)
+            patch.setattr(evolver, "_diffusion_solver", fetch_solver)
+            runs.append((evolve(config), sizes))
+    return runs
+
+
+WIDE = Grid1D.from_spacing(-50.0, 350.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "grid, params, spec, dt, t_max, tol, slides",
+    [
+        (WIDE, NEUTRAL, EXP, 0.0025, 2.0, 1e-12, True),
+        (WIDE, ChemoParams(-0.05, 1.0), EXP, 0.0025, 1.0, 1e-12, False),
+        # the FFT drift, whose short kernel lets the window slide at once
+        (WIDE, ChemoParams(-0.05, 1.0), TOPHAT, 0.0025, 1.5, 1e-12, True),
+        # the scan's chi = -20, sigma = 1 grid and time step
+        (Grid1D.from_spacing(-52.0, 163.0, 0.1), ChemoParams(-20.0, 1.0), EXP, 0.0025, 1.5, 1e-9,
+         False),
+        # the front 300 x units from the left end: a window placed before the
+        # first record would start on [-300, -150] and zero the front
+        (Grid1D.from_spacing(-300.0, 100.0, 0.2), NEUTRAL, EXP, 0.01, 2.0, 1e-12, True),
+    ],
+    ids=["fkpp", "exp", "tophat", "scan-fast-cell", "far-front"],
+)
+def test_windowed_run_matches_whole_grid_run(monkeypatch, grid, params, spec, dt, t_max, tol,
+                                              slides):
+    config = make_config(grid, params=params, spec=spec, dt=dt, t_max=t_max,
+                         snapshot_every=0.1)
+    (windowed, _), (whole, _) = windowed_and_whole_runs(monkeypatch, config)
+    lo, hi = windowed.stepped
+    assert hi - lo < grid.n and (lo > 0) == slides
+    assert whole.stepped[0] == 0
+    assert [t for t, _ in windowed.front_positions] == [t for t, _ in whole.front_positions]
+    gap = max(abs(a - b) for (_, a), (_, b) in zip(windowed.front_positions, whole.front_positions))
+    assert gap < tol
+    final = windowed.final()
+    assert np.all(final.values[: lo + 1] == final.left_ext)  # the Dirichlet node too
+    assert not final.values[hi:].any()
+
+
+def test_runs_the_window_does_not_cover_step_as_before(monkeypatch):
+    # the kernel's reach (31.5 sigma behind the front) spans the sigma = 200
+    # grid, and a nonzero right extension holds the last node: either way
+    # every step advances the nodes it would without a window
+    step = smoothed_step_field(WIDE)
+    cases = [
+        make_config(Grid1D.from_spacing(-100.0, 900.0, 1.0), params=ChemoParams(-20.0, 200.0),
+                    dt=0.1, t_max=20.0, snapshot_every=1.0),
+        make_config(WIDE, dt=0.0025, t_max=0.25, snapshot_every=0.05,
+                    initial=Field(WIDE, step.values, left_ext=1.0, right_ext=0.4)),
+    ]
+    for config in cases:
+        (windowed, sizes), (whole, whole_sizes) = windowed_and_whole_runs(monkeypatch, config)
+        assert sizes == whole_sizes and windowed.stepped == whole.stepped
+        assert windowed.stepped[0] == 0
+        assert windowed.front_positions == whole.front_positions
+        assert np.array_equal(windowed.final().values, whole.final().values)
