@@ -16,20 +16,31 @@ A step advances only the nodes [lo, min(lo + k, m)) of the fixed grid:
 * [lo, lo + k) is a window that follows the front.  It reaches
   ``WINDOW_BEHIND`` behind the tracked front, plus the kernel's truncation
   radius tail_cutoff * sigma when chi != 0 (so the drift behind the window
-  sees only the left extension), and ``WINDOW_AHEAD`` ahead of it.  At each
-  record lo slides right only, so that the front sits that far from its left
-  end; the nodes it leaves behind are set to the left extension, and the
-  nodes beyond the window stay 0, the window's right Dirichlet value.
-  Between records the lead ahead of the front shrinks by at most the
-  front's travel.  Behind the window a slow front's
-  profile is within about e^(-(sqrt 2 - 1) WINDOW_BEHIND) = 1e-9 of 1, and
-  at the window's right end its leading edge is about e^(-WINDOW_AHEAD).
-  Neither moves the tracked positions of a chi = 0 run to t = 150; a lead
-  of 80 moved them by 8e-10, and one of 60 by 1.8e-4.
-* There is no window until a front position has been recorded, nor when
-  the right extension is nonzero.  Where the window is at least the grid,
-  as for the sigma = 200 coupled runs (the kernel reaches 31.5 sigma), lo
-  stays 0 and a step advances [0, m) as it would without a window.
+  sees only the left extension).  Ahead of the front it reaches the longer
+  of ``WINDOW_AHEAD`` and ``WINDOW_SPREAD`` sqrt(t_max), plus the distance
+  the front can travel between records at the sandwich's top speed
+  :func:`speed_upper_bound`.  At each record lo slides right only, so that
+  the front sits that far from its left end; the nodes it leaves behind are
+  set to the left extension, and the nodes beyond the window stay 0, the
+  window's right Dirichlet value.  Between records the lead ahead of the
+  front shrinks by at most the front's travel, so it stays at least the
+  longer of the two lengths.
+* Behind the window a slow front's profile is within about
+  e^(-(sqrt 2 - 1) WINDOW_BEHIND) = 1e-9 of 1.  Ahead of a pulled front the
+  leading edge spreads like sqrt(t), and a zero held at distance L perturbs
+  the front by about e^(-L^2/t), so the lead grows with sqrt(t_max).
+  Neither length moves the tracked positions of a chi = 0 run at dx = 0.1
+  to t = 150, nor of one at dx = 0.2 to t = 1000; at t = 150 a lead of 80
+  moved them by 8e-10 and one of 60 by 1.8e-4, at t = 1000 a lead of 102
+  by 1e-2 and one of 6 sqrt(t_max) + 2 by 9e-12.
+* The window is placed at the first record that finds the front and at
+  which the profile beyond the window is exactly zero (at once for the
+  default smoothed step, which is 0 past x = 38), so placing it drops
+  nothing; a datum with mass far ahead of the front is never windowed.
+  Nor is a run whose right extension is nonzero.  Where the window is at
+  least the grid, as for the sigma = 200 coupled runs (the kernel reaches
+  31.5 sigma), lo stays 0 and a step advances [0, m) as it would without
+  a window.
 """
 
 from __future__ import annotations
@@ -45,7 +56,8 @@ from .kernels import ChemoParams, KernelSpec
 from .lapack import dpttrf, dpttrs
 
 WINDOW_BEHIND = 50.0  # x units a step reaches behind the front (plus the kernel's reach)
-WINDOW_AHEAD = 100.0  # x units a step reaches ahead of the front
+WINDOW_AHEAD = 100.0  # least x units a step reaches ahead of the front
+WINDOW_SPREAD = 8.0  # ... or this times sqrt(t_max), if longer
 
 
 class BlowUpError(RuntimeError):
@@ -55,6 +67,11 @@ class BlowUpError(RuntimeError):
 def sup_bound(params: ChemoParams) -> float:
     """A-priori upper bound max{1, (1 - chi/sigma)^(-1)} on the profile."""
     return max(1.0, 1.0 / (1.0 - params.chi / params.sigma))
+
+
+def speed_upper_bound(chi: float, sigma: float) -> float:
+    """The sandwich's upper wave-speed bound 2 sqrt(1 + |chi|/sigma) + |chi|/2."""
+    return 2.0 * np.sqrt(1.0 + abs(chi) / sigma) + abs(chi) / 2.0
 
 
 @dataclass
@@ -222,14 +239,15 @@ def evolve(config: EvolveConfig) -> Trajectory:
     Each step advances the nodes [lo, min(lo + k, m)) (see the module
     docstring; ``Trajectory.stepped`` holds the last range): m is the active
     end of :func:`_active_end`, and [lo, lo + k) a window that is placed on
-    the front at its first record, zeroing the profile beyond it, and then
+    the front at a record where the profile beyond it is zero, and then
     slides right with the front at each record.  Behind the window the
     profile is held at the left extension.  The window spans ``WINDOW_BEHIND``
-    plus, when chi != 0, the kernel's truncation radius behind the front and
-    ``WINDOW_AHEAD`` ahead of it, so the sigma = 200 coupled runs, whose
-    kernels reach past their grids, are not windowed.  As the window moves
-    only at records, the lead ahead of the front shrinks between records by
-    at most the front's travel.
+    plus, when chi != 0, the kernel's truncation radius behind the front, so
+    the sigma = 200 coupled runs, whose kernels reach past their grids, are
+    not windowed.  Ahead of the front it spans the longer of ``WINDOW_AHEAD``
+    and ``WINDOW_SPREAD`` sqrt(t_max), plus ``snapshot_every`` times the top
+    speed: the window moves only at records, and the lead shrinks between
+    them by at most the front's travel.
     """
     grid, dt = config.grid, config.dt
     n, dx = grid.n, grid.dx
@@ -243,11 +261,14 @@ def evolve(config: EvolveConfig) -> Trajectory:
     guard = _guard_nodes(a, bound)
     n_steps = int(round(config.t_max / dt))
     snap_stride = max(1, int(round(config.snapshot_every / dt)))
-    chi = config.params.chi
-    behind = WINDOW_BEHIND + (config.spec.tail_cutoff * config.params.sigma if chi != 0.0 else 0.0)
+    chi, sigma = config.params.chi, config.params.sigma
+    behind = WINDOW_BEHIND + (config.spec.tail_cutoff * sigma if chi != 0.0 else 0.0)
+    # the front may travel up to a snapshot spacing at the top speed before the window follows
+    ahead = (max(WINDOW_AHEAD, WINDOW_SPREAD * math.sqrt(config.t_max))
+             + config.snapshot_every * speed_upper_bound(chi, sigma))
     back = np.ceil(behind / dx)  # a float: the window lengths may be infinite
-    k = int(min(n, max(4, back + np.ceil(WINDOW_AHEAD / dx))))  # the diffusion solve needs 4
-    lo, width = 0, n  # no window until a front position is recorded
+    k = int(min(n, max(4, back + np.ceil(ahead / dx))))  # the diffusion solve needs 4
+    lo, width = 0, n  # no window until one is placed at a record
 
     traj = Trajectory(snapshots=[], front_positions=[], config=config)
 
@@ -265,11 +286,11 @@ def evolve(config: EvolveConfig) -> Trajectory:
                 return False
             if right == 0.0:  # a nonzero right extension holds the last node: no window
                 front = (pos - grid.x_min) // dx  # the last node at or above the level
-                lo = int(min(max(front - back, lo), n - k))  # right only, inside the grid
-                if width == n:  # placed on the front: only now is the far field dropped
-                    width = k
-                    values[lo + k :] = 0.0
-                values[: lo + 1] = left  # the nodes left behind and the Dirichlet node
+                start = int(min(max(front - back, lo), n - k))  # right only, inside the grid
+                # placed only where the profile beyond it is zero, so nothing is dropped
+                if width == k or not values[start + k :].any():
+                    lo, width = start, k
+                    values[: lo + 1] = left  # the nodes left behind and the Dirichlet node
         return True
 
     if not record(0.0):

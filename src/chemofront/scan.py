@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .evolver import EvolveConfig, evolve, measure_speed
+from .evolver import EvolveConfig, evolve, measure_speed, speed_upper_bound
 from .grids import Grid1D
 from .kernels import ChemoParams, KernelSpec
 from .slab import SlabConfig, fixed_point, slab_bounds_check
@@ -76,11 +76,6 @@ def fast_predicate(chi: float, sigma: float) -> float:
     if chi == 0.0:
         return np.inf
     return min(sigma, sigma / abs(chi))
-
-
-def speed_upper_bound(chi: float, sigma: float) -> float:
-    """The sandwich's upper wave-speed bound 2 sqrt(1 + |chi|/sigma) + |chi|/2."""
-    return 2.0 * np.sqrt(1.0 + abs(chi) / sigma) + abs(chi) / 2.0
 
 
 def _classify(record: RegimeRecord) -> str:

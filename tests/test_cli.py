@@ -100,9 +100,10 @@ def test_evolve_command_end_to_end(out_dir):
     assert code == EXIT_OK
     meta = json.loads((out_dir / "run.csv.meta.json").read_text())
     assert 1.5 < meta["c"] < 2.1
-    # the last step advanced a window of 50 + 100 x units that had left x_min behind
+    # the last step advanced a window that had left x_min behind: 50 x units
+    # behind the front, and ahead of it 100 plus a snapshot spacing at speed 2
     x_lo, x_hi = meta["stepped_window"]
-    assert x_lo > -20.0 and x_hi - x_lo == pytest.approx(149.8)
+    assert x_lo > -20.0 and x_hi - x_lo == pytest.approx(151.8)
 
 
 def test_unconverged_slab_solve_exits_three(out_dir, capped_slab_newton):

@@ -326,8 +326,8 @@ def trimmed_and_whole_runs(monkeypatch, config):
     return trimmed, whole, ends
 
 
-def second_bump_field(grid):
-    values = smoothed_step_field(grid).values + 0.5 * np.exp(-((grid.x - grid.x_max + 8.0) ** 2))
+def second_bump_field(grid, height=0.5):
+    values = smoothed_step_field(grid).values + height * np.exp(-((grid.x - grid.x_max + 8.0) ** 2))
     values[-1] = 0.0
     return Field(grid, values, left_ext=1.0, right_ext=0.0)
 
@@ -394,25 +394,32 @@ WIDE = Grid1D.from_spacing(-50.0, 350.0, 0.1)
 
 
 @pytest.mark.parametrize(
-    "grid, params, spec, dt, t_max, tol, slides",
+    "grid, params, spec, dt, t_max, snapshot_every, tol, slides",
     [
-        (WIDE, NEUTRAL, EXP, 0.0025, 2.0, 1e-12, True),
-        (WIDE, ChemoParams(-0.05, 1.0), EXP, 0.0025, 1.0, 1e-12, False),
+        (WIDE, NEUTRAL, EXP, 0.0025, 2.0, 0.1, 1e-12, True),
+        (WIDE, ChemoParams(-0.05, 1.0), EXP, 0.0025, 1.0, 0.1, 1e-12, False),
         # the FFT drift, whose short kernel lets the window slide at once
-        (WIDE, ChemoParams(-0.05, 1.0), TOPHAT, 0.0025, 1.5, 1e-12, True),
+        (WIDE, ChemoParams(-0.05, 1.0), TOPHAT, 0.0025, 1.5, 0.1, 1e-12, True),
         # the scan's chi = -20, sigma = 1 grid and time step
-        (Grid1D.from_spacing(-52.0, 163.0, 0.1), ChemoParams(-20.0, 1.0), EXP, 0.0025, 1.5, 1e-9,
-         False),
+        (Grid1D.from_spacing(-52.0, 163.0, 0.1), ChemoParams(-20.0, 1.0), EXP, 0.0025, 1.5, 0.1,
+         1e-9, False),
         # the front 300 x units from the left end: a window placed before the
         # first record would start on [-300, -150] and zero the front
-        (Grid1D.from_spacing(-300.0, 100.0, 0.2), NEUTRAL, EXP, 0.01, 2.0, 1e-12, True),
+        (Grid1D.from_spacing(-300.0, 100.0, 0.2), NEUTRAL, EXP, 0.01, 2.0, 0.1, 1e-12, True),
+        # records 60 apart, between which the front travels about 115, more
+        # than WINDOW_AHEAD: the window's lead has room for that travel
+        (Grid1D.from_spacing(-20.0, 500.0, 1.0), NEUTRAL, EXP, 0.25, 120.0, 60.0, 1e-12, True),
+        # a long run, whose leading edge spreads like sqrt(t) ahead of the
+        # front: on this coarse grid a lead of 100 moves its positions by
+        # 1.1e-3 by t = 400, the lead of 8 sqrt(t_max) = 160 by 6.5e-11
+        (Grid1D.from_spacing(-20.0, 900.0, 1.0), NEUTRAL, EXP, 0.25, 400.0, 1.0, 1e-9, True),
     ],
-    ids=["fkpp", "exp", "tophat", "scan-fast-cell", "far-front"],
+    ids=["fkpp", "exp", "tophat", "scan-fast-cell", "far-front", "sparse-records", "long-run"],
 )
-def test_windowed_run_matches_whole_grid_run(monkeypatch, grid, params, spec, dt, t_max, tol,
-                                              slides):
+def test_windowed_run_matches_whole_grid_run(monkeypatch, grid, params, spec, dt, t_max,
+                                              snapshot_every, tol, slides):
     config = make_config(grid, params=params, spec=spec, dt=dt, t_max=t_max,
-                         snapshot_every=0.1)
+                         snapshot_every=snapshot_every)
     (windowed, _), (whole, _) = windowed_and_whole_runs(monkeypatch, config)
     lo, hi = windowed.stepped
     assert hi - lo < grid.n and (lo > 0) == slides
@@ -427,14 +434,17 @@ def test_windowed_run_matches_whole_grid_run(monkeypatch, grid, params, spec, dt
 
 def test_runs_the_window_does_not_cover_step_as_before(monkeypatch):
     # the kernel's reach (31.5 sigma behind the front) spans the sigma = 200
-    # grid, and a nonzero right extension holds the last node: either way
-    # every step advances the nodes it would without a window
+    # grid, a nonzero right extension holds the last node, and a bump below
+    # the tracked level lies beyond the window's reach, which would drop it:
+    # each way every step advances the nodes it would without a window
     step = smoothed_step_field(WIDE)
     cases = [
         make_config(Grid1D.from_spacing(-100.0, 900.0, 1.0), params=ChemoParams(-20.0, 200.0),
                     dt=0.1, t_max=20.0, snapshot_every=1.0),
         make_config(WIDE, dt=0.0025, t_max=0.25, snapshot_every=0.05,
                     initial=Field(WIDE, step.values, left_ext=1.0, right_ext=0.4)),
+        make_config(WIDE, dt=0.0025, t_max=0.25, snapshot_every=0.05,
+                    initial=second_bump_field(WIDE, height=0.1)),
     ]
     for config in cases:
         (windowed, sizes), (whole, whole_sizes) = windowed_and_whole_runs(monkeypatch, config)
