@@ -119,8 +119,10 @@ class DriftOperator:
         _check_resolution(dx, sigma)
         self.sigma = sigma
         self.half = _window(spec, sigma, dx, n)
-        self.weights = _cell_weights(spec, sigma, dx, self.half)
-        masses = _cell_masses(spec, sigma, dx, self.half)
+        tables = (_cell_weights, _cell_masses)
+        if self.half == n - 1:  # capped by the grid: tables only this n uses, left uncached
+            tables = tuple(table.__wrapped__ for table in tables)
+        self.weights, masses = (table(spec, sigma, dx, self.half) for table in tables)
         self.mass0 = masses[0]
         self.sym = np.concatenate([masses[:0:-1], masses])  # m_{|j|}, j = -J..J
         self.size = next_fast_len(n + self.half)
@@ -238,7 +240,11 @@ def drift_operator(
 
 
 def advection(u: Field, spec: KernelSpec, params: ChemoParams) -> Field:
-    """v = chi * (K_sigma convolved with the extended profile), sampled on u's grid."""
+    """v = chi * (K_sigma convolved with the extended profile), sampled on u's grid.
+
+    At chi = 0 it is exactly zero, and no kernel is resolved on the grid."""
+    if params.chi == 0.0:
+        return Field(u.grid, np.zeros(u.grid.n), left_ext=0.0, right_ext=0.0)
     op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
     v = op.advection(u.values, u.left_ext, u.right_ext, params.chi)
     return Field(u.grid, v, left_ext=0.0, right_ext=0.0)
@@ -249,7 +255,11 @@ def advection_gradient(u: Field, spec: KernelSpec, params: ChemoParams) -> Field
 
     v_x(x) = -(chi/sigma) u(x)
              + chi * int_0^inf (u_ext(x-y) + u_ext(x+y)) dK_sigma(y).
+
+    At chi = 0 it is exactly zero, as for :func:`advection`.
     """
+    if params.chi == 0.0:
+        return Field(u.grid, np.zeros(u.grid.n), left_ext=0.0, right_ext=0.0)
     op = drift_operator(spec, params.sigma, u.grid.dx, u.grid.n)
     vx = op.gradient(u.values, u.left_ext, u.right_ext, params.chi)
     return Field(u.grid, vx, left_ext=0.0, right_ext=0.0)

@@ -7,40 +7,39 @@ operator per stepped grid size.  Boundary nodes are held at the Dirichlet
 values given by the field extensions, which also feed the nonlocal
 convolution.
 
-A step advances only the nodes [lo, min(lo + k, m)) of the fixed grid:
+A step advances only the nodes [lo, hi) of the fixed grid, a range that
+follows the front.  Both ends are set at records, from the tracked front:
 
-* m is the active end.  Ahead of the front, where the profile is still
-  exactly zero, no work is done: m covers the nodes the front has reached
-  plus a guard in which anything the implicit solve carries further
-  underflows.
-* [lo, lo + k) is a window that follows the front.  It reaches
-  ``WINDOW_BEHIND`` behind the tracked front, plus the kernel's truncation
-  radius tail_cutoff * sigma when chi != 0 (so the drift behind the window
-  sees only the left extension).  Ahead of the front it reaches the longer
-  of ``WINDOW_AHEAD`` and ``WINDOW_SPREAD`` sqrt(t_max), plus the distance
-  the front can travel between records at the sandwich's top speed
-  :func:`speed_upper_bound`.  At each record lo slides right only, so that
-  the front sits that far from its left end; the nodes it leaves behind are
-  set to the left extension, and the nodes beyond the window stay 0, the
-  window's right Dirichlet value.  Between records the lead ahead of the
-  front shrinks by at most the front's travel, so it stays at least the
-  longer of the two lengths.
-* Behind the window a slow front's profile is within about
-  e^(-(sqrt 2 - 1) WINDOW_BEHIND) = 1e-9 of 1.  Ahead of a pulled front the
-  leading edge spreads like sqrt(t), and a zero held at distance L perturbs
-  the front by about e^(-L^2/t), so the lead grows with sqrt(t_max).
-  Neither length moves the tracked positions of a chi = 0 run at dx = 0.1
-  to t = 150, nor of one at dx = 0.2 to t = 1000; at t = 150 a lead of 80
-  moved them by 8e-10 and one of 60 by 1.8e-4, at t = 1000 a lead of 102
-  by 1e-2 and one of 6 sqrt(t_max) + 2 by 9e-12.
-* The window is placed at the first record that finds the front and at
-  which the profile beyond the window is exactly zero (at once for the
-  default smoothed step, which is 0 past x = 38), so placing it drops
-  nothing; a datum with mass far ahead of the front is never windowed.
-  Nor is a run whose right extension is nonzero.  Where the window is at
-  least the grid, as for the sigma = 200 coupled runs (the kernel reaches
-  31.5 sigma), lo stays 0 and a step advances [0, m) as it would without
-  a window.
+* lo lies ``WINDOW_BEHIND`` behind the front, plus the kernel's truncation
+  radius tail_cutoff * sigma when chi != 0 (so the drift behind the range
+  sees only the left extension), and slides right only; the nodes it leaves
+  behind are set to the left extension.  Where that reach spans the grid
+  behind the front, as for the sigma = 200 coupled runs (the exp kernel
+  reaches 31.5 sigma), lo stays 0.
+* hi lies ahead of the front by the longer of ``WINDOW_AHEAD`` and
+  ``WINDOW_SPREAD`` sqrt(t_max), plus the distance the front can travel
+  between records at the sandwich's top speed :func:`speed_upper_bound`,
+  or at the grid's end.  The nodes beyond it stay 0, its right Dirichlet
+  value.  Between records the lead ahead of the front shrinks by at most
+  the front's travel, so it stays at least the longer of the two lengths.
+* Ahead of a pulled front the leading edge spreads like sqrt(t), and a zero
+  held at distance L perturbs the front by about e^(-L^2/t), so the lead
+  grows with sqrt(t_max).  It does not move the tracked positions of a
+  chi = 0 run at dx = 0.1 to t = 150, nor of one at dx = 0.2 to t = 1000;
+  at t = 150 a lead of 80 moved them by 8e-10 and one of 60 by 1.8e-4, at
+  t = 1000 a lead of 102 by 1e-2 and one of 6 sqrt(t_max) + 2 by 9e-12.
+* Behind a slow front the profile at lo is within about
+  e^(-(sqrt 2 - 1) WINDOW_BEHIND) = 1e-9 of 1.  Behind a fast repulsive
+  front with a compact kernel it is not: behind a tophat front at
+  chi = -20, sigma = 200, 1 - u falls only about 10x per sigma, is 2e-3 at
+  lo, and holding the nodes behind lo at 1 moves the tracked positions by
+  5e-4 (ROADMAP item 6).
+* The range is placed at the first record that finds the front and at
+  which the profile beyond hi is exactly zero (at once for the default
+  smoothed step, which is 0 past x = 38), so placing it drops nothing.
+  Until then a step advances the whole grid, and so it does throughout
+  for a datum with mass far ahead of the front, or a nonzero right
+  extension.
 """
 
 from __future__ import annotations
@@ -174,37 +173,6 @@ def _diffusion_solver(n: int, a: float):
     return solve
 
 
-def _guard_nodes(a: float, bound: float) -> int:
-    """Nodes within which the implicit solve's output underflows ahead of the front.
-
-    Beyond the right-hand side's support the solution of (I - a D2) u = rhs
-    decays by r per node, the root in (0, 1) of a r^2 - (1 + 2a) r + a = 0.
-    The count is the number of nodes over which r takes 10x the sup bound
-    below the smallest subnormal, plus one node for the upwind flux's reach
-    and one for the Dirichlet node.
-    """
-    r = 2.0 * a / (1.0 + 2.0 * a + math.sqrt(1.0 + 4.0 * a))
-    decades = math.log(np.finfo(float).smallest_subnormal) - math.log(10.0 * bound)
-    return math.ceil(decades / math.log(r)) + 2
-
-
-def _active_end(values: np.ndarray, m: int, guard: int) -> int:
-    """End of the nodes [0, m) a step advances (m = 0 asks for a first value).
-
-    Beyond the last nonzero node the reaction and the upwind flux vanish, and
-    the implicit solve's output underflows within ``guard`` nodes of it, so
-    the nodes past m stay exactly zero.  m keeps the guard beyond the last
-    nonzero node and grows by half when a nonzero value enters it.  A nonzero
-    right extension holds the last node nonzero, so then m = n.
-    """
-    n = values.size
-    if m == n or (m > 0 and not values[m - guard : m].any()):
-        return m
-    nonzero = np.flatnonzero(values)
-    last = int(nonzero[-1]) if nonzero.size else 0
-    return min(n, max(m + m // 2, last + 1 + guard))
-
-
 def _advective_divergence(
     u: np.ndarray, v: np.ndarray, dx: float, face: np.ndarray, upwind: np.ndarray,
     flux: np.ndarray, div: np.ndarray,
@@ -236,18 +204,17 @@ def evolve(config: EvolveConfig) -> Trajectory:
     constant right extension.  Profiles and front positions are taken on the
     whole grid.
 
-    Each step advances the nodes [lo, min(lo + k, m)) (see the module
-    docstring; ``Trajectory.stepped`` holds the last range): m is the active
-    end of :func:`_active_end`, and [lo, lo + k) a window that is placed on
-    the front at a record where the profile beyond it is zero, and then
-    slides right with the front at each record.  Behind the window the
-    profile is held at the left extension.  The window spans ``WINDOW_BEHIND``
-    plus, when chi != 0, the kernel's truncation radius behind the front, so
-    the sigma = 200 coupled runs, whose kernels reach past their grids, are
-    not windowed.  Ahead of the front it spans the longer of ``WINDOW_AHEAD``
-    and ``WINDOW_SPREAD`` sqrt(t_max), plus ``snapshot_every`` times the top
-    speed: the window moves only at records, and the lead shrinks between
-    them by at most the front's travel.
+    Each step advances the nodes [lo, hi) (see the module docstring;
+    ``Trajectory.stepped`` holds the last range).  Until a record places the
+    range on the front, that is the whole grid.  Both ends are set only at
+    records: lo reaches ``WINDOW_BEHIND`` plus, when chi != 0, the kernel's
+    truncation radius behind the front, and slides right only; hi reaches
+    the longer of ``WINDOW_AHEAD`` and ``WINDOW_SPREAD`` sqrt(t_max), plus
+    ``snapshot_every`` times the top speed, ahead of it, since the front
+    travels between records.  Behind lo the profile is held at the left
+    extension, and beyond hi it stays 0.  Each stepped size gets one
+    diffusion factorization, one buffer set and one drift operator, built
+    for the run rather than kept in ``drift_operator``'s shared cache.
     """
     grid, dt = config.grid, config.dt
     n, dx = grid.n, grid.dx
@@ -258,22 +225,20 @@ def evolve(config: EvolveConfig) -> Trajectory:
     values[-1] = right
     a = dt / dx**2
     bound = sup_bound(config.params)
-    guard = _guard_nodes(a, bound)
     n_steps = int(round(config.t_max / dt))
     snap_stride = max(1, int(round(config.snapshot_every / dt)))
     chi, sigma = config.params.chi, config.params.sigma
     behind = WINDOW_BEHIND + (config.spec.tail_cutoff * sigma if chi != 0.0 else 0.0)
-    # the front may travel up to a snapshot spacing at the top speed before the window follows
+    # the front may travel up to a snapshot spacing at the top speed before the range follows
     ahead = (max(WINDOW_AHEAD, WINDOW_SPREAD * math.sqrt(config.t_max))
              + config.snapshot_every * speed_upper_bound(chi, sigma))
-    back = np.ceil(behind / dx)  # a float: the window lengths may be infinite
-    k = int(min(n, max(4, back + np.ceil(ahead / dx))))  # the diffusion solve needs 4
-    lo, width = 0, n  # no window until one is placed at a record
+    back, lead = np.ceil(behind / dx), np.ceil(ahead / dx)  # floats: the lengths may be infinite
+    lo, hi = 0, n  # the whole grid until a record places the range
 
     traj = Trajectory(snapshots=[], front_positions=[], config=config)
 
     def record(t: float) -> bool:
-        nonlocal lo, width
+        nonlocal lo, hi
         traj.snapshots[:] = [(t, u.with_values(values.copy()))]
         pos = level_crossing(u, config.track_level)
         if pos is not None:
@@ -284,23 +249,20 @@ def evolve(config: EvolveConfig) -> Trajectory:
                     f"({config.front_margin:g}) at t={t:.4f}"
                 )
                 return False
-            if right == 0.0:  # a nonzero right extension holds the last node: no window
+            if right == 0.0:  # a nonzero right extension holds the last node: the whole grid
                 front = (pos - grid.x_min) // dx  # the last node at or above the level
-                start = int(min(max(front - back, lo), n - k))  # right only, inside the grid
+                end = int(min(n, max(front + lead, 4)))  # the diffusion solve needs 4 nodes
                 # placed only where the profile beyond it is zero, so nothing is dropped
-                if width == k or not values[start + k :].any():
-                    lo, width = start, k
+                if not values[end:].any():
+                    lo, hi = int(min(max(front - back, lo), end - 4)), end  # lo moves right only
                     values[: lo + 1] = left  # the nodes left behind and the Dirichlet node
         return True
 
     if not record(0.0):
         return traj
 
-    m = size = 0
+    size = 0
     for step in range(1, n_steps + 1):
-        if lo + width > m - guard:  # else the guard lies beyond the window, all zero
-            m = _active_end(values, m, guard)
-        hi = min(lo + width, m)
         if hi - lo != size:
             size = hi - lo
             solve = _diffusion_solver(size, a)
@@ -308,12 +270,13 @@ def evolve(config: EvolveConfig) -> Trajectory:
             rhs, face, flux = np.empty(size), np.empty(size - 1), np.empty(size - 1)
             div, upwind = np.empty(size - 2), np.empty(size - 1, dtype=bool)
             if chi != 0.0:
-                drift = drift_operator(config.spec, config.params.sigma, dx, size)
+                # built for this run, not cached: a front-following end gives many sizes
+                drift = drift_operator.__wrapped__(config.spec, sigma, dx, size)
         active = values[lo:hi]
         np.subtract(1.0, active, out=rhs)
         rhs *= active  # the reaction u(1 - u)
         if chi != 0.0:
-            # right is 0 whenever the window or the active end stops short of node n - 1
+            # right is 0 whenever hi stops short of node n - 1
             v = drift.advection(active, left, right, chi)
             rhs[1:-1] -= _advective_divergence(active, v, dx, face, upwind, flux, div)
         rhs *= dt

@@ -210,6 +210,26 @@ def test_scan_command_end_to_end(out_dir):
     assert lines[1].split(",")[10] == "slow"
 
 
+def test_chi_zero_needs_no_kernel_resolution(out_dir):
+    # dx = 0.5 does not resolve the sigma = 1 kernel (dx > sigma/4), but at
+    # chi = 0 the drift is exactly zero: each command writes its file
+    for argv in (
+        ["evolve", "--dx", "0.5", "--dt", "0.05", "--tmax", "40", "--xmax", "200"],
+        ["slab", "--dx", "0.5"],
+        ["eigen", "--dx", "0.5"],
+    ):
+        assert run(argv) == EXIT_OK
+        assert (out_dir / f"{argv[0]}.csv.meta.json").is_file()
+    _, v, vx = read_profile(str(out_dir / "evolve.csv"))
+    assert not v.values.any() and not vx.values.any()
+    # the scan's certificate gets its drift too; the cell's slab speed at this
+    # coarse dx (1.93462) lies below the sandwich, so the scan still exits 1
+    assert run(["scan", "--chis=0", "--sigmas", "1", "--dx", "0.5"]) == EXIT_CHECK_FAILED
+    header, row = (line.split(",") for line in (out_dir / "scan.csv").read_text().splitlines())
+    cell = dict(zip(header, row))
+    assert cell["lambda_cert"] and not cell["flags"]
+
+
 def test_check_command_end_to_end(out_dir):
     assert run(["slab", "--chi", "-0.05", "--a", "40", "--out", "wave.csv"]) == EXIT_OK
     # a relative --input resolves where a relative --out wrote the file

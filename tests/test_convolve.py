@@ -4,6 +4,8 @@ import pytest
 from chemofront.convolve import (
     DriftOperator,
     KernelResolutionError,
+    _cell_masses,
+    _cell_weights,
     _window,
     advection,
     advection_bounds_check,
@@ -52,6 +54,8 @@ def test_fft_and_direct_agree():
         (Grid1D.from_spacing(-12.0, 12.0, 0.1), KernelSpec("tophat"), ChemoParams(-0.5, 0.8), 8),
         (Grid1D(-2.0, 2.0, 40), EXP, ChemoParams(-0.5, 1.0), 39),
         (Grid1D(-2.0, 2.0, 16), KernelSpec("tophat"), ChemoParams(0.3, 1.2), 5),
+        # a heavy tail capped at J = n-1 on the FFT path, whose tables are not cached
+        (Grid1D(-10.0, 10.0, 120), KernelSpec("powerlaw", 3.0), ChemoParams(-0.5, 1.0), 119),
     ]
     extension_pairs = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7)]
     for grid, spec, params, half in cases:
@@ -69,6 +73,16 @@ def test_fft_and_direct_agree():
                 v_f = drift(u, spec, params).values
                 v_d = oracle.values
                 assert np.max(np.abs(v_f - v_d)) / np.max(np.abs(v_d)) < 1e-13, (grid, exts, drift)
+
+
+def test_grid_capped_window_leaves_the_table_caches_alone():
+    # tables of a window capped at n - 1 serve only grids of n nodes, which
+    # drift_operator's own cache keys; an evolve run builds an uncached
+    # operator for each size its front-following range steps
+    calls = [table.cache_info()[:2] for table in (_cell_weights, _cell_masses)]
+    for n in (130, 131):
+        assert DriftOperator(KernelSpec("powerlaw", 3.0), 1.0, 0.1, n).half == n - 1
+    assert [table.cache_info()[:2] for table in (_cell_weights, _cell_masses)] == calls
 
 
 def test_constants_are_annihilated():

@@ -256,40 +256,42 @@ def test_coupled_evolve_builds_one_operator_and_one_transform_per_step(monkeypat
         calls["irfft"] += 1
         return irfft(*args, **kwargs)
 
-    sizes = []
+    built, solver_sizes = [], []
 
-    def fetch_operator(spec, sigma, dx, n):
-        sizes.append(n)
-        return convolve.drift_operator(spec, sigma, dx, n)
+    class CountedOperator(convolve.DriftOperator):
+        def __init__(self, spec, sigma, dx, n):
+            super().__init__(spec, sigma, dx, n)
+            built.append((n, self))
+
+    def fetch_solver(n, a):
+        solver_sizes.append(n)
+        return _diffusion_solver(n, a)
 
     monkeypatch.setattr(convolve, "rfft", counting_rfft)
     monkeypatch.setattr(convolve, "irfft", counting_irfft)
-    monkeypatch.setattr(evolver, "drift_operator", fetch_operator)
-    # a grid no other test uses, wider than the first active end; the exp
-    # kernel has no FFT path, so the transforms are counted on a tophat run
+    monkeypatch.setattr(convolve, "DriftOperator", CountedOperator)
+    monkeypatch.setattr(evolver, "_diffusion_solver", fetch_solver)
+    # the tophat kernel's reach (51 behind the front) spans this grid's left
+    # part, so lo stays 0 while hi follows the front; the exp kernel has no
+    # FFT path, so the transforms are counted on a tophat run
     grid = Grid1D.from_spacing(-20.0, 151.3, 0.1)
     config = make_config(
-        grid, params=ChemoParams(-0.05, 1.0), spec=TOPHAT, t_max=0.05, snapshot_every=0.01
+        grid, params=ChemoParams(-0.05, 1.0), spec=TOPHAT, t_max=0.5, snapshot_every=0.1
     )
     n_steps = round(config.t_max / config.dt)
-    misses = convolve.drift_operator.cache_info().misses
-    evolve(config)
-    assert len(sizes) >= 2 and sizes == sorted(set(sizes))  # one operator per active size
-    assert convolve.drift_operator.cache_info().misses == misses + len(sizes)
-    lengths = {convolve.drift_operator(TOPHAT, 1.0, grid.dx, m).size for m in sizes}
-    for m in sizes:  # the transform covers the active grid and one window
-        op = convolve.drift_operator(TOPHAT, 1.0, grid.dx, m)
+    cached = convolve.drift_operator.cache_info()
+    traj = evolve(config)
+    sizes = [n for n, _ in built]
+    # one operator and one factorization per stepped size, each a new size
+    assert len(sizes) >= 2 and sizes == solver_sizes and len(set(sizes)) == len(sizes)
+    assert traj.stepped == (0, sizes[-1]) and sizes[-1] < grid.n
+    assert convolve.drift_operator.cache_info() == cached  # the shared cache is left alone
+    for m, op in built:  # the transform covers the stepped nodes and one window
         assert op.size == next_fast_len(m + op.half, real=True)
-    assert set(calls["rfft"]) == lengths
+    assert set(calls["rfft"]) == {op.size for _, op in built}
     # the profile once per step, the two kernel spectra once per operator
     assert len(calls["rfft"]) == n_steps + 2 * len(sizes)
     assert calls["irfft"] == n_steps
-    calls["rfft"].clear()
-    first = list(sizes)
-    evolve(config)  # a second run reuses the operators
-    assert sizes == 2 * first
-    assert convolve.drift_operator.cache_info().misses == misses + len(first)
-    assert len(calls["rfft"]) == n_steps
 
 
 def test_exp_kernel_runs_without_fft(monkeypatch):
@@ -307,73 +309,15 @@ def test_exp_kernel_runs_without_fft(monkeypatch):
     assert sol.converged
 
 
-def trimmed_and_whole_runs(monkeypatch, config):
-    """The run as evolve does it, with the active ends it chose, and the same
-    run stepping every node."""
-    ends = []
-    active_end = evolver._active_end
-
-    def spy(values, *args):
-        ends.append(active_end(values, *args))
-        return ends[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(evolver, "_active_end", spy)
-        trimmed = evolve(config)
-    with monkeypatch.context() as patch:
-        patch.setattr(evolver, "_active_end", lambda values, *args: values.size)
-        whole = evolve(config)
-    return trimmed, whole, ends
-
-
-def second_bump_field(grid, height=0.5):
+def second_bump_field(grid, height):
     values = smoothed_step_field(grid).values + height * np.exp(-((grid.x - grid.x_max + 8.0) ** 2))
     values[-1] = 0.0
     return Field(grid, values, left_ext=1.0, right_ext=0.0)
 
 
-@pytest.mark.parametrize(
-    "grid, params, dt, t_max, bump",
-    [
-        (Grid1D.from_spacing(-100.0, 900.0, 1.0), ChemoParams(-20.0, 200.0), 0.1, 20.0, False),
-        (Grid1D.from_spacing(-20.0, 100.0, 0.1), ChemoParams(-0.05, 1.0), 0.0025, 4.0, False),
-        (Grid1D.from_spacing(-20.0, 60.0, 0.1), ChemoParams(-0.05, 1.0), 0.0025, 1.0, True),
-    ],
-    ids=["fast", "slow", "second-bump"],
-)
-def test_trimmed_run_matches_whole_grid_run(monkeypatch, grid, params, dt, t_max, bump):
-    config = make_config(grid, params=params, dt=dt, t_max=t_max, snapshot_every=t_max / 20,
-                         initial=second_bump_field(grid) if bump else None)
-    trimmed, whole, ends = trimmed_and_whole_runs(monkeypatch, config)
-    if bump:
-        assert set(ends) == {grid.n}  # nonzero near the right end: nothing to trim
-    else:
-        assert ends[0] < grid.n  # the zero leading edge was left out
-    assert [t for t, _ in trimmed.front_positions] == [t for t, _ in whole.front_positions]
-    gap = max(abs(a - b) for (_, a), (_, b) in zip(trimmed.front_positions, whole.front_positions))
-    assert gap < 1e-12
-    assert np.max(np.abs(trimmed.final().values - whole.final().values)) < 1e-12
-    assert trimmed.clipped_mass == whole.clipped_mass
-
-
-def test_nonzero_right_extension_is_never_trimmed(monkeypatch):
-    grid = Grid1D.from_spacing(-20.0, 100.0, 0.1)
-    # zero ahead of the front up to the last node; a right extension at or
-    # above the tracked level would end the run at t = 0 (margin abort)
-    step = smoothed_step_field(grid)
-    initial = Field(grid, step.values, left_ext=1.0, right_ext=0.4)
-    config = make_config(grid, params=ChemoParams(-0.05, 1.0), dt=0.0025, t_max=0.1,
-                         snapshot_every=0.01, initial=initial)
-    trimmed, whole, ends = trimmed_and_whole_runs(monkeypatch, config)
-    assert set(ends) == {grid.n}
-    assert len(trimmed.front_positions) == 11
-    assert trimmed.front_positions == whole.front_positions
-    assert np.array_equal(trimmed.final().values, whole.final().values)
-
-
 def windowed_and_whole_runs(monkeypatch, config):
-    """The run as evolve does it, and the same run with a window as long as
-    the grid, stepping [0, m) at every step; each with its solver sizes."""
+    """The run as evolve does it, and the same run with a range as long as
+    the grid, stepping every node at every step; each with its solver sizes."""
     runs = []
     for lengths in ({}, {"WINDOW_BEHIND": np.inf, "WINDOW_AHEAD": np.inf}):
         sizes = []
@@ -413,8 +357,15 @@ WIDE = Grid1D.from_spacing(-50.0, 350.0, 0.1)
         # front: on this coarse grid a lead of 100 moves its positions by
         # 1.1e-3 by t = 400, the lead of 8 sqrt(t_max) = 160 by 6.5e-11
         (Grid1D.from_spacing(-20.0, 900.0, 1.0), NEUTRAL, EXP, 0.25, 400.0, 1.0, 1e-9, True),
+        # a fast front whose kernel reaches (31.5 sigma) past the grid's left
+        # end, and a heavy-tailed kernel: lo stays 0 and only hi follows the front
+        (Grid1D.from_spacing(-100.0, 900.0, 1.0), ChemoParams(-20.0, 200.0), EXP, 0.1, 20.0, 1.0,
+         1e-12, False),
+        (WIDE, ChemoParams(-0.05, 1.0), KernelSpec("powerlaw", 3.0), 0.0025, 1.0, 0.1, 1e-12,
+         False),
     ],
-    ids=["fkpp", "exp", "tophat", "scan-fast-cell", "far-front", "sparse-records", "long-run"],
+    ids=["fkpp", "exp", "tophat", "scan-fast-cell", "far-front", "sparse-records", "long-run",
+         "sigma-200", "powerlaw"],
 )
 def test_windowed_run_matches_whole_grid_run(monkeypatch, grid, params, spec, dt, t_max,
                                               snapshot_every, tol, slides):
@@ -423,7 +374,7 @@ def test_windowed_run_matches_whole_grid_run(monkeypatch, grid, params, spec, dt
     (windowed, _), (whole, _) = windowed_and_whole_runs(monkeypatch, config)
     lo, hi = windowed.stepped
     assert hi - lo < grid.n and (lo > 0) == slides
-    assert whole.stepped[0] == 0
+    assert whole.stepped == (0, grid.n)
     assert [t for t, _ in windowed.front_positions] == [t for t, _ in whole.front_positions]
     gap = max(abs(a - b) for (_, a), (_, b) in zip(windowed.front_positions, whole.front_positions))
     assert gap < tol
@@ -433,14 +384,11 @@ def test_windowed_run_matches_whole_grid_run(monkeypatch, grid, params, spec, dt
 
 
 def test_runs_the_window_does_not_cover_step_as_before(monkeypatch):
-    # the kernel's reach (31.5 sigma behind the front) spans the sigma = 200
-    # grid, a nonzero right extension holds the last node, and a bump below
-    # the tracked level lies beyond the window's reach, which would drop it:
-    # each way every step advances the nodes it would without a window
+    # a nonzero right extension holds the last node, and a bump below the
+    # tracked level lies beyond the window's reach, which would drop it:
+    # either way every step advances the whole grid
     step = smoothed_step_field(WIDE)
     cases = [
-        make_config(Grid1D.from_spacing(-100.0, 900.0, 1.0), params=ChemoParams(-20.0, 200.0),
-                    dt=0.1, t_max=20.0, snapshot_every=1.0),
         make_config(WIDE, dt=0.0025, t_max=0.25, snapshot_every=0.05,
                     initial=Field(WIDE, step.values, left_ext=1.0, right_ext=0.4)),
         make_config(WIDE, dt=0.0025, t_max=0.25, snapshot_every=0.05,
@@ -448,7 +396,6 @@ def test_runs_the_window_does_not_cover_step_as_before(monkeypatch):
     ]
     for config in cases:
         (windowed, sizes), (whole, whole_sizes) = windowed_and_whole_runs(monkeypatch, config)
-        assert sizes == whole_sizes and windowed.stepped == whole.stepped
-        assert windowed.stepped[0] == 0
+        assert sizes == whole_sizes == [WIDE.n] and windowed.stepped == (0, WIDE.n)
         assert windowed.front_positions == whole.front_positions
         assert np.array_equal(windowed.final().values, whole.final().values)
