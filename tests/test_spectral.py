@@ -160,12 +160,8 @@ def test_warm_start_matches_cold_solve_on_certificate_potentials(wave, request):
         assert np.min(pair.phi.values) > 0.0
 
 
-def _recorded_certificate(sol, monkeypatch):
-    # the certificate's eigensolves, each with its potential and start; the
-    # slab grid's ground state is cached first, so that its own cold solve is
-    # not recorded
-    config = sol.config
-    spectral._fkpp_ground_state(config.grid, config.theta)
+def _recording(monkeypatch):
+    # every eigensolve, with its potential, start and pair
     solves = []
 
     def recording(V, start=None):
@@ -174,6 +170,17 @@ def _recorded_certificate(sol, monkeypatch):
         return pair
 
     monkeypatch.setattr(spectral, "principal_eigenpair", recording)
+    return solves
+
+
+def _recorded_certificate(sol, monkeypatch):
+    # the certificate's eigensolves on a cold grid: the cached chi = 0
+    # certificate is dropped, so a chi = 0 wave is solved for; the slab grid's
+    # ground state is cached first, so that its own cold solve is not recorded
+    config = sol.config
+    spectral._fkpp_certificate.cache_clear()
+    spectral._fkpp_ground_state(config.grid, config.theta)
+    solves = _recording(monkeypatch)
     return slow_regime_certificate(sol), solves
 
 
@@ -196,6 +203,63 @@ def test_certificate_at_chi_zero_takes_one_iteration_per_speed(slab_neutral, mon
     # V = -u by constants, so every start is already the ground state
     _, solves = _recorded_certificate(slab_neutral, monkeypatch)
     assert [pair.iterations for _, _, pair in solves] == [1, 1, 1]
+
+
+def test_certificate_at_chi_zero_on_a_warm_grid_takes_no_solve(slab_neutral, monkeypatch):
+    cold, _ = _recorded_certificate(slab_neutral, monkeypatch)
+    solves = _recording(monkeypatch)
+    warm = slow_regime_certificate(slab_neutral)
+    assert solves == []
+    assert warm.passed and warm.entries == cold.entries
+
+
+def test_chi_zero_certificate_is_shared_across_sigma(monkeypatch):
+    # the chi = 0 wave and its zero drift read neither sigma nor the kernel
+    def certificate(sigma):
+        sol = fixed_point(SlabConfig(a=60.0, params=ChemoParams(0.0, sigma), spec=EXP))
+        return sol, slow_regime_certificate(sol)
+
+    spectral._fkpp_certificate.cache_clear()
+    _, first = certificate(1.0)
+    solves = _recording(monkeypatch)
+    sol, second = certificate(200.0)
+    assert solves == []
+    spectral._fkpp_certificate.cache_clear()
+    spectral._fkpp_ground_state.cache_clear()
+    _, cold = certificate(200.0)
+    assert len(solves) == 4  # the ground state's cold solve, then one per test speed
+    # the uncached chain on the drift the slab solution itself gives
+    solved = spectral._certificate_entries(sol.config.grid, sol.config.theta, sol.u, *slab_drift(sol))
+    assert second.passed
+    assert second.entries == first.entries == cold.entries == solved
+
+
+def test_chi_zero_certificate_of_another_profile_is_solved_for(slab_neutral, monkeypatch):
+    # one node off the cached FKPP wave is another profile: its own three solves
+    u = slab_neutral.u.values.copy()
+    u[slab_neutral.u.grid.index_of(0.0)] *= 1.0 + 1e-12
+    sol = SlabSolution(
+        c=slab_neutral.c,
+        u=Field(slab_neutral.u.grid, u, left_ext=1.0, right_ext=0.0),
+        residual=slab_neutral.residual,
+        iterations=slab_neutral.iterations,
+        converged=True,
+        config=slab_neutral.config,
+        tau_path=slab_neutral.tau_path,
+    )
+    slow_regime_certificate(slab_neutral)  # warms the chi = 0 certificate
+    solves = _recording(monkeypatch)
+    report = slow_regime_certificate(sol)
+    assert len(solves) == 3
+    assert [e["lambda"] for e in report.entries] == [pair.lam for _, _, pair in solves]
+
+
+def test_chi_zero_certificate_entries_are_fresh_copies(slab_neutral):
+    first = slow_regime_certificate(slab_neutral)
+    expected = [dict(e) for e in first.entries]
+    first.entries[0]["lambda"] = -1.0
+    first.entries.append({"c_test": 3.0, "lambda": -1.0, "phi0": 1.0})
+    assert slow_regime_certificate(slab_neutral).entries == expected
 
 
 @pytest.mark.parametrize("wave", ["slab_repulsive", "slab_attractive"])
@@ -451,6 +515,17 @@ def test_stagnated_inverse_iteration_raises_linalg_error(monkeypatch):
     V = Field(grid, np.cos(2.0 * np.pi * grid.x / 10.0))
     with pytest.raises(np.linalg.LinAlgError, match="stagnated"):
         principal_eigenpair(V)
+
+
+def test_certificate_decides_phi0_on_a_long_slab():
+    # e^{a/2} overflows past a ~ 1419; phi0 <= e^{a/2} is decided in logs
+    def passed(a, phi0):
+        entry = {"c_test": 2.0, "lambda": 1e-6, "phi0": phi0}
+        return spectral.CertificateReport(True, "", a, [entry]).passed
+
+    assert passed(1500.0, 1e300)  # log(1e300) = 690.8 <= 750
+    assert not passed(1000.0, 1e300)  # > 500
+    assert not passed(1500.0, math.inf)
 
 
 @pytest.mark.parametrize("chi", [-0.05, -1.0])
