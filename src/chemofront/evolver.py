@@ -153,11 +153,13 @@ def level_crossing(u: Field, level: float) -> float | None:
 
 
 def _diffusion_solver(n: int, a: float):
-    """Solve (I - a D2) u = rhs on n nodes with u_0 = rhs_0, u_{n-1} = rhs_{n-1}.
+    """Solve (I - a D2) u = rhs on k <= n nodes with u_0 = rhs_0, u_{k-1} = rhs_{k-1}.
 
     The Dirichlet rows are eliminated into the first and last interior
     right-hand sides; the remaining matrix is symmetric positive definite and
-    factored once (LAPACK pttrf).  The returned solve overwrites ``rhs``.
+    factored once, on n nodes (LAPACK pttrf).  The k-node matrix is its
+    leading block, whose factors are the leading factors, so the returned
+    solve takes any length 4 <= k <= n from ``rhs`` and overwrites it.
     """
     d, e, info = dpttrf(np.full(n - 2, 1.0 + 2.0 * a), np.full(n - 3, -a))
     if info != 0:
@@ -167,28 +169,23 @@ def _diffusion_solver(n: int, a: float):
         interior = rhs[1:-1]
         interior[0] += a * rhs[0]
         interior[-1] += a * rhs[-1]
-        dpttrs(d, e, interior, overwrite_b=1)
+        dpttrs(d[: rhs.size - 2], e[: rhs.size - 3], interior, overwrite_b=1)
         return rhs
 
     return solve
 
 
 def _advective_divergence(
-    u: np.ndarray, v: np.ndarray, dx: float, face: np.ndarray, upwind: np.ndarray,
-    flux: np.ndarray, div: np.ndarray,
+    u: np.ndarray, v: np.ndarray, dx: float, flux: np.ndarray, div: np.ndarray
 ) -> np.ndarray:
     """d(vu)/dx at the interior nodes by first-order upwinding at cell faces.
 
-    Writes into the caller's buffers: ``face``, the boolean ``upwind`` and
-    ``flux`` hold n - 1 face values, ``div`` the n - 2 interior divergences,
-    and is returned.
+    Writes into the caller's buffers: ``flux`` holds the n - 1 face fluxes,
+    ``div`` the n - 2 interior divergences, and is returned.
     """
-    np.add(v[:-1], v[1:], out=face)
-    face *= 0.5  # face velocities between consecutive nodes
-    np.greater_equal(face, 0.0, out=upwind)  # take the left node's value
-    np.copyto(flux, u[1:])
-    np.copyto(flux, u[:-1], where=upwind)
-    flux *= face
+    np.add(v[:-1], v[1:], out=flux)
+    flux *= 0.5  # face velocities between consecutive nodes
+    flux *= np.where(flux >= 0.0, u[:-1], u[1:])  # times the upwind node's value
     np.subtract(flux[1:], flux[:-1], out=div)
     div /= dx
     return div
@@ -212,9 +209,11 @@ def evolve(config: EvolveConfig) -> Trajectory:
     the longer of ``WINDOW_AHEAD`` and ``WINDOW_SPREAD`` sqrt(t_max), plus
     ``snapshot_every`` times the top speed, ahead of it, since the front
     travels between records.  Behind lo the profile is held at the left
-    extension, and beyond hi it stays 0.  Each stepped size gets one
-    diffusion factorization, one buffer set and one drift operator, built
-    for the run rather than kept in ``drift_operator``'s shared cache.
+    extension, and beyond hi it stays 0.  A run factors the diffusion
+    matrix once and allocates one buffer set; each range solves on its
+    leading block and works in views of those buffers.  Each stepped size
+    gets its own drift operator, built for the run rather than kept in
+    ``drift_operator``'s shared cache.
     """
     grid, dt = config.grid, config.dt
     n, dx = grid.n, grid.dx
@@ -261,14 +260,14 @@ def evolve(config: EvolveConfig) -> Trajectory:
     if not record(0.0):
         return traj
 
+    solve = _diffusion_solver(n, a)
+    run_rhs, run_flux, run_div = np.empty(n), np.empty(n - 1), np.empty(n - 2)
     size = 0
     for step in range(1, n_steps + 1):
         if hi - lo != size:
             size = hi - lo
-            solve = _diffusion_solver(size, a)
-            # every step at this size works in these buffers
-            rhs, face, flux = np.empty(size), np.empty(size - 1), np.empty(size - 1)
-            div, upwind = np.empty(size - 2), np.empty(size - 1, dtype=bool)
+            # every step on this range works in views of the run's buffers
+            rhs, flux, div = run_rhs[:size], run_flux[: size - 1], run_div[: size - 2]
             if chi != 0.0:
                 # built for this run, not cached: a front-following end gives many sizes
                 drift = drift_operator.__wrapped__(config.spec, sigma, dx, size)
@@ -278,7 +277,7 @@ def evolve(config: EvolveConfig) -> Trajectory:
         if chi != 0.0:
             # right is 0 whenever hi stops short of node n - 1
             v = drift.advection(active, left, right, chi)
-            rhs[1:-1] -= _advective_divergence(active, v, dx, face, upwind, flux, div)
+            rhs[1:-1] -= _advective_divergence(active, v, dx, flux, div)
         rhs *= dt
         rhs += active
         rhs[0] = left

@@ -76,23 +76,28 @@ def _periodic_solver(main: np.ndarray, off: float):
     `main`, off-diagonals and corners `off`): M = T + gamma w w^T with
     w = e_0 + (off/gamma) e_{m-1} leaves T tridiagonal and, as gamma = -main[0] < 0,
     positive definite, so by Sherman-Morrison one LAPACK pttrf factorization of T
-    serves every solve.  M is positive definite exactly when T is and
-    1 + gamma w^T T^-1 w > 0; otherwise LinAlgError is raised."""
+    serves every solve.  w has only two nonzero entries, so T and every product
+    with w touch just the two corners.  M is positive definite exactly when T is
+    and 1 + gamma w^T T^-1 w > 0; otherwise LinAlgError is raised."""
     gamma = -main[0]
-    w = np.zeros(main.size)
-    w[0], w[-1] = 1.0, off / gamma
-    d, e, info = dpttrf(main - gamma * w * w, np.full(main.size - 1, off))
+    corner = off / gamma  # w's last entry
+    t = main.copy()
+    t[0] -= gamma
+    t[-1] -= (gamma * corner) * corner
+    d, e, info = dpttrf(t, np.full(main.size - 1, off))
     if info != 0:
         raise np.linalg.LinAlgError("periodic matrix is not positive definite")
-    z, _ = dpttrs(d, e, gamma * w)
-    denominator = 1.0 + w @ z
+    gamma_w = np.zeros(main.size)
+    gamma_w[0], gamma_w[-1] = gamma, gamma * corner
+    z, _ = dpttrs(d, e, gamma_w)
+    denominator = 1.0 + (z[0] + corner * z[-1])
     if not denominator > 0.0:
         raise np.linalg.LinAlgError("periodic matrix is not positive definite")
     z /= denominator
 
     def periodic_solve(rhs: np.ndarray) -> np.ndarray:
         y, _ = dpttrs(d, e, rhs)
-        return y - (w @ y) * z
+        return y - (y[0] + corner * y[-1]) * z
 
     return periodic_solve
 

@@ -227,6 +227,16 @@ def test_diffusion_solve_matches_dense_solve():
     assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) < 1e-13
 
 
+def test_diffusion_solve_on_a_leading_block_matches_its_own_factorization_bitwise():
+    # the k-node matrix is the n-node one's leading block, and so are its factors
+    n, a = 401, 0.25
+    rhs = np.random.default_rng(7).standard_normal(n)
+    solve = _diffusion_solver(n, a)
+    for k in (4, 5, 17, n):
+        got = solve(rhs[:k].copy())
+        assert got.tobytes() == _diffusion_solver(k, a)(rhs[:k].copy()).tobytes()
+
+
 def test_upwind_divergence_matches_the_upwind_pick_bitwise():
     rng = np.random.default_rng(11)
     n, dx = 400, 0.1
@@ -237,9 +247,8 @@ def test_upwind_divergence_matches_the_upwind_pick_bitwise():
     v_face = 0.5 * (v[:-1] + v[1:])
     flux = v_face * np.where(v_face >= 0.0, u[:-1], u[1:])
     expected = (flux[1:] - flux[:-1]) / dx
-    upwind = np.empty(n - 1, dtype=bool)
-    face, faces, div = np.empty(n - 1), np.empty(n - 1), np.empty(n - 2)
-    got = _advective_divergence(u, v, dx, face, upwind, faces, div)
+    faces, div = np.empty(n - 1), np.empty(n - 2)
+    got = _advective_divergence(u, v, dx, faces, div)
     assert got is div
     assert got.tobytes() == expected.tobytes()  # signed zeros included
 
@@ -282,8 +291,9 @@ def test_coupled_evolve_builds_one_operator_and_one_transform_per_step(monkeypat
     cached = convolve.drift_operator.cache_info()
     traj = evolve(config)
     sizes = [n for n, _ in built]
-    # one operator and one factorization per stepped size, each a new size
-    assert len(sizes) >= 2 and sizes == solver_sizes and len(set(sizes)) == len(sizes)
+    # one factorization per run, on the whole grid; one operator per stepped size, each a new size
+    assert solver_sizes == [grid.n]
+    assert len(sizes) >= 2 and len(set(sizes)) == len(sizes)
     assert traj.stepped == (0, sizes[-1]) and sizes[-1] < grid.n
     assert convolve.drift_operator.cache_info() == cached  # the shared cache is left alone
     for m, op in built:  # the transform covers the stepped nodes and one window
