@@ -21,7 +21,14 @@ import scipy
 from . import __version__
 from .convolve import advection, advection_gradient
 from .diagnostics import decay_fit, monotonicity_check, moment_check
-from .evolver import BlowUpError, EvolveConfig, evolve, measure_speed, speed_from_integral
+from .evolver import (
+    BlowUpError,
+    EvolveConfig,
+    evolve,
+    fit_window_records,
+    measure_speed,
+    speed_from_integral,
+)
 from .grids import Field, Grid1D
 from .kernels import ChemoParams, parse_kernel, validate_kernel
 from .scan import FAILURE_FLAGS, ScanConfig, run_scan, sandwich_table, write_scan_csv
@@ -82,6 +89,22 @@ def read_profile(path: str | Path) -> tuple[Field, Field, Field]:
     v = Field(grid, data["v"])
     vx = Field(grid, data["v_x"])
     return u, v, vx
+
+
+def _read_config(path: str) -> dict:
+    """Flag defaults from a JSON file: an object whose values are strings or
+    numbers (true and false are neither)."""
+    with open(path) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path} does not hold a JSON object of flag defaults")
+    bad = sorted(
+        key for key, value in config.items()
+        if isinstance(value, bool) or not isinstance(value, (str, int, float))
+    )
+    if bad:
+        raise ValueError(f"config value(s) of {', '.join(bad)} must be strings or numbers")
+    return config
 
 
 def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -170,10 +193,16 @@ def _cmd_evolve(args) -> int:
         spec=spec,
         track_level=args.level,
     )
+    window = 0.4  # the speed fit's share of the run
+    if fit_window_records(config, window) < 5:
+        raise ValueError(
+            f"--tmax {args.tmax:g} with --snapshot-every {args.snapshot_every:g} records fewer "
+            f"than 5 fronts in the speed fit's window, the last {window:.0%} of the run"
+        )
     traj = evolve(config)
     est, no_speed = None, ""
     try:
-        est = measure_speed(traj, args.level, 0.4)
+        est = measure_speed(traj, args.level, window)
     except ValueError as exc:
         if traj.abort_reason is None:
             raise
@@ -336,8 +365,7 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         try:
-            with open(args.config) as fh:
-                parser = _build_parser(json.load(fh))
+            parser = _build_parser(_read_config(args.config))
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(f"cannot use config: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -159,20 +159,43 @@ def _diffusion_solver(n: int, a: float):
     right-hand sides; the remaining matrix is symmetric positive definite and
     factored once, on n nodes (LAPACK pttrf).  The k-node matrix is its
     leading block, whose factors are the leading factors, so the returned
-    solve takes any length 4 <= k <= n from ``rhs`` and overwrites it.
+    solve takes any length 4 <= k <= n from ``rhs`` and overwrites it; any
+    other length raises ValueError, and a failed pttrs LinAlgError.
     """
     d, e, info = dpttrf(np.full(n - 2, 1.0 + 2.0 * a), np.full(n - 3, -a))
     if info != 0:
         raise np.linalg.LinAlgError("diffusion matrix is not positive definite")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
+        if not 4 <= rhs.size <= n:
+            raise ValueError(f"a diffusion solve takes 4 to {n} nodes, not {rhs.size}")
         interior = rhs[1:-1]
         interior[0] += a * rhs[0]
         interior[-1] += a * rhs[-1]
-        dpttrs(d[: rhs.size - 2], e[: rhs.size - 3], interior, overwrite_b=1)
+        _, info = dpttrs(d[: rhs.size - 2], e[: rhs.size - 3], interior, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"diffusion solve failed (LAPACK pttrs info {info})")
         return rhs
 
     return solve
+
+
+def _record_steps(config: EvolveConfig) -> tuple[int, int]:
+    """A run's step count and the steps between its records."""
+    return int(round(config.t_max / config.dt)), max(1, int(round(config.snapshot_every / config.dt)))
+
+
+def fit_window_records(config: EvolveConfig, window_fraction: float) -> int:
+    """The number of a run's records, up to 5 (the fewest `measure_speed`
+    fits on), in its last ``window_fraction`` when the front is tracked from
+    t = 0: the most any run of ``config`` can give, since a front first
+    tracked later only narrows the window."""
+    n_steps, stride = _record_steps(config)
+    t_end = n_steps * config.dt
+    t_start = t_end - window_fraction * t_end  # measure_speed's, with the first record at t = 0
+    # the last record's step, then the multiples of the stride below it
+    steps = [n_steps, *range((n_steps - 1) // stride * stride, -1, -stride)[:4]]
+    return sum(step * config.dt >= t_start for step in steps)
 
 
 def _advective_divergence(
@@ -224,8 +247,7 @@ def evolve(config: EvolveConfig) -> Trajectory:
     values[-1] = right
     a = dt / dx**2
     bound = sup_bound(config.params)
-    n_steps = int(round(config.t_max / dt))
-    snap_stride = max(1, int(round(config.snapshot_every / dt)))
+    n_steps, snap_stride = _record_steps(config)
     chi, sigma = config.params.chi, config.params.sigma
     behind = WINDOW_BEHIND + (config.spec.tail_cutoff * sigma if chi != 0.0 else 0.0)
     # the front may travel up to a snapshot spacing at the top speed before the range follows

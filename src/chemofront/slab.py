@@ -15,7 +15,8 @@ has the wave as its fixed point.  That fixed point is computed by one Newton
 method on (u, c) jointly, with the normalization as the extra equation and the
 nonlocal drift in the Jacobian.  The pure FKPP slab (tau = 0, coupling 0) is
 solved first, once per grid and theta, from a sigmoid seed: it reads neither
-chi nor the kernel.  The model (tau = 1) is then solved from its wave.  Both
+chi nor the kernel.  The model (tau = 1) is then solved from its wave; at
+chi = 0 the model is the FKPP slab, and its wave is the answer.  Both
 stages are one procedure: full Newton steps while each lowers the max-norm
 residual; if one does not, or the root is not positive, pseudo-transient
 continuation from the same start (Kelley & Keyes 1998, SIAM J. Numer. Anal.
@@ -210,7 +211,7 @@ def _newton(
     `drift(values, left_ext, right_ext)` is the coupling: chi K_sigma * the
     extended array, the frozen drift v = drift(u, 1, 0) and the Jacobian's
     dv = drift(du, 0, 0) (`fixed_point` binds one cached drift operator's
-    `advection` to chi).  With drift None (tau = 0, or chi = 0) the solve is
+    `advection` to chi).  With drift None (the FKPP stage) the solve is
     uncoupled and makes no convolution.  A trial whose u or c is not finite
     is not evaluated: the solve ends unconverged and returns the last finite
     iterate and its residual.
@@ -310,24 +311,24 @@ def fixed_point(config: SlabConfig) -> SlabSolution:
     from that wave, each stage by `_solve` on `config.grid`.
 
     The model stage's drift is the cached drift operator of
-    (kernel, sigma, dx, n), fetched once and bound to chi; at chi = 0 there
-    is none.  On non-convergence the best iterate is returned flagged, not
-    raised; so is a root that is not positive at every interior node (a
-    sign-changing solution of the slab equations, not a wave).  A tau = 0
-    stage that fails is returned as it ends, with no tau = 1 solve.
+    (kernel, sigma, dx, n), fetched once and bound to chi.  At chi = 0 the
+    model is the FKPP slab, so there is no model solve: the solution is a
+    copy of the cached wave, its tau_path still ends at (1, c), and its
+    iterations are the FKPP stage's alone.  On non-convergence the best
+    iterate is returned flagged, not raised; so is a root that is not
+    positive at every interior node (a sign-changing solution of the slab
+    equations, not a wave).  A tau = 0 stage that fails is returned as it
+    ends, with no tau = 1 entry.
     """
     grid, theta, chi = config.grid, config.theta, config.params.chi
     u, c, residual, total_iters, ok = _fkpp_wave(grid, theta)
-    # a copy: at chi = 0 the model solve returns its start, the cached read-only wave
-    u = u.copy()
+    u = u.copy()  # the cached wave is read-only
     path = [(0.0, c)]
     if ok:
-        drift = None
         if chi != 0.0:
             op = drift_operator(config.spec, config.params.sigma, grid.dx, grid.n)
-            drift = partial(op.advection, chi=chi)
-        u, c, residual, iters, ok = _solve(u, c, grid, theta, drift)
-        total_iters += iters
+            u, c, residual, iters, ok = _solve(u, c, grid, theta, partial(op.advection, chi=chi))
+            total_iters += iters
         path.append((1.0, c))
     return SlabSolution(
         c=c,

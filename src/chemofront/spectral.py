@@ -246,48 +246,37 @@ def transform_to_w(sol: SlabSolution) -> TransformedProfile:
     return TransformedProfile(w=w, residual=residual)
 
 
-@lru_cache(maxsize=8)
-def _fkpp_ground_state(grid: Grid1D, theta: float) -> np.ndarray:
-    """Ground state of the c_test = 2 potential V = -u of the chi = 0 wave
-    `slab._fkpp_wave(grid, theta)`, scaled to a largest value of 1.
-
-    One cold eigensolve per slab grid and theta serves every certificate on
-    it; the vector is returned read-only.
-    """
-    u = _fkpp_wave(grid, theta)[0]
-    phi = principal_eigenpair(Field(grid, -u)).phi.values
-    phi /= np.max(phi)
-    phi.setflags(write=False)
-    return phi
-
-
-def _certificate_entries(grid: Grid1D, theta: float, u: Field, v: Field, vx: Field) -> list[dict]:
+def _certificate_entries(u: Field, v: Field, vx: Field, start: Field | None) -> tuple[list[dict], Field]:
     """Principal eigenpairs over CERTIFICATE_SPEEDS for profile u with drift v,
-    v_x: the first test speed starts from the slab grid's cached FKPP ground
-    state, each later one from the previous eigenvector."""
-    # the chi = 0 wave's ground state is exact at chi = 0 and O(chi) off elsewhere
-    start = Field(grid, _fkpp_ground_state(grid, theta))
-    entries = []
+    v_x, as entries, and the first test speed's eigenvector: that speed starts
+    from `start` (cold when None), each later one from the previous
+    eigenvector."""
+    entries, pairs = [], []
     for c_test in CERTIFICATE_SPEEDS:
         pot = assemble_potential(u, c_test, v, vx)
         # neighbouring test speeds give nearby potentials: each pair starts the next
-        pair = principal_eigenpair(pot, start=start)
-        start = pair.phi
-        entries.append({"c_test": c_test, "lambda": pair.lam, "phi0": pair.phi_at(0.0)})
-    return entries
+        pairs.append(principal_eigenpair(pot, start=pairs[-1].phi if pairs else start))
+        entries.append({"c_test": c_test, "lambda": pairs[-1].lam, "phi0": pairs[-1].phi_at(0.0)})
+    return entries, pairs[0].phi
 
 
 @lru_cache(maxsize=8)
-def _fkpp_certificate(grid: Grid1D, theta: float) -> tuple[tuple[tuple[str, float], ...], ...]:
-    """Certificate entries of the chi = 0 wave `slab._fkpp_wave(grid, theta)`,
-    whose drift is exactly zero, as (key, value) tuples.
+def _fkpp_certificate(grid: Grid1D, theta: float) -> tuple[np.ndarray, tuple]:
+    """The certificate chain of the chi = 0 wave `slab._fkpp_wave(grid, theta)`,
+    whose drift is exactly zero: its c_test = 2 ground state (V = -u, a cold
+    solve) scaled to a largest value of 1 and read-only, and its entries as
+    (key, value) tuples.
 
-    They read neither sigma nor the kernel, so every chi = 0 certificate on
-    one slab grid and theta shares these three eigensolves.
+    They read neither sigma nor the kernel, so every certificate on one slab
+    grid and theta shares these three eigensolves: a chi = 0 one takes the
+    entries, any other starts from the ground state.
     """
     u = Field(grid, _fkpp_wave(grid, theta)[0])
     zero = Field(grid, np.zeros(grid.n))
-    return tuple(tuple(e.items()) for e in _certificate_entries(grid, theta, u, zero, zero))
+    entries, phi = _certificate_entries(u, zero, zero, None)
+    ground = phi.values / np.max(phi.values)
+    ground.setflags(write=False)
+    return ground, tuple(tuple(e.items()) for e in entries)
 
 
 @dataclass
@@ -312,15 +301,16 @@ def slow_regime_certificate(sol: SlabSolution) -> CertificateReport:
     above 2, the principal eigenvalue must be nonnegative and the
     eigenfunction controlled at the origin.
 
-    The first test speed starts from the slab grid's cached FKPP ground state
-    (`_fkpp_ground_state`), each later one from the previous eigenvector.
     Only applies when |chi|(1/sigma + sigma^2) <= CERTIFICATE_GATE and a >= 60.
 
     After the gate and the convergence refusal, a chi = 0 solution whose
     profile equals the slab grid's cached FKPP wave (`_fkpp_wave`) node for
-    node, as every converged chi = 0 `fixed_point` result does, gets fresh
-    copies of that wave's entries, cached per slab grid and theta
-    (`_fkpp_certificate`); any other solution is solved for.
+    node, as every converged chi = 0 `fixed_point` result does (it is a copy
+    of that wave), gets fresh copies of that wave's entries, cached per slab
+    grid and theta with the wave's c_test = 2 ground state
+    (`_fkpp_certificate`).  Any other solution is solved for: its first test
+    speed starts from that ground state, each later one from the previous
+    eigenvector.
     """
     config = sol.config
     params, a = config.params, config.a
@@ -340,8 +330,10 @@ def slow_regime_certificate(sol: SlabSolution) -> CertificateReport:
             applicable=False, reason="slab solution not converged", a=a, entries=[]
         )
     grid, theta = config.grid, config.theta
+    ground, fkpp_entries = _fkpp_certificate(grid, theta)
     if params.chi == 0.0 and np.array_equal(sol.u.values, _fkpp_wave(grid, theta)[0]):
-        entries = [dict(e) for e in _fkpp_certificate(grid, theta)]
+        entries = [dict(e) for e in fkpp_entries]
     else:
-        entries = _certificate_entries(grid, theta, sol.u, *slab_drift(sol))
+        # the chi = 0 wave's ground state is exact at chi = 0 and O(chi) off elsewhere
+        entries, _ = _certificate_entries(sol.u, *slab_drift(sol), Field(grid, ground))
     return CertificateReport(applicable=True, reason="", a=a, entries=entries)

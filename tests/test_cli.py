@@ -136,7 +136,7 @@ def test_singular_tridiagonal_system_exits_three(monkeypatch, capsys):
 
 def test_evolve_blow_up_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(evolver, "_diffusion_solver", lambda grid, dt: lambda rhs: 1e3 * rhs)
-    argv = ["evolve", "--xmin", "-20", "--xmax", "100", "--dx", "0.2", "--dt", "0.01", "--tmax", "1"]
+    argv = ["evolve", "--xmin", "-20", "--xmax", "100", "--dx", "0.2", "--dt", "0.01", "--tmax", "10"]
     assert run(argv) == EXIT_NO_CONVERGENCE
     assert "exceeds 10x the a-priori bound" in capsys.readouterr().err
 
@@ -303,6 +303,49 @@ def test_non_finite_parameters_exit_two(out_dir, capsys, monkeypatch):
     # a scan builds each cell's slab: the refusal is the cell's flag, and the scan fails
     assert run(["scan", "--chis=0", "--sigmas", "1", "--dx", "0"]) == EXIT_CHECK_FAILED
     assert f"slab-error: {dx_zero}" in (out_dir / "scan.csv").read_text()
+
+
+def test_evolve_whose_records_cannot_fill_the_fit_window_exits_two(out_dir, capsys, monkeypatch):
+    # --tmax 9 puts 4 records in the fit window's last 40 %; it used to run all
+    # 4,500 steps, write nothing, and then exit 2
+    def refuse(*args, **kwargs):
+        raise AssertionError("stepped a run that cannot fit a speed")
+
+    monkeypatch.setattr(cli, "evolve", refuse)
+    assert run(["evolve", "--tmax", "9", "--snapshot-every", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--tmax 9 with --snapshot-every 1" in err and "fewer than 5" in err
+    assert not (out_dir / "evolve.csv").exists()
+    monkeypatch.setattr(cli, "evolve", evolver.evolve)
+    argv = ["evolve", "--xmin", "-20", "--xmax", "100", "--dx", "0.2", "--dt", "0.01", "--tmax", "10"]
+    assert run(argv) == EXIT_OK  # 5 records in the window
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[1, 2]", "does not hold a JSON object"),  # a TypeError traceback, exit 1, before
+        ("42", "does not hold a JSON object"),  # likewise
+        ('"abc"', "does not hold a JSON object"),  # unknown keys b, c
+        ("null", "does not hold a JSON object"),  # silently ignored
+        ('{"dx": null}', "config value(s) of dx must be strings or numbers"),  # exit 4
+        ('{"dx": true}', "config value(s) of dx must be strings or numbers"),  # a slab at dx = 1
+        ('{"a": 40, "dx": [0.1], "chi": {}}', "config value(s) of chi, dx must be strings or numbers"),
+    ],
+    ids=["list", "number", "string", "null", "null-value", "bool-value", "nested-values"],
+)
+def test_config_that_is_not_an_object_of_strings_and_numbers_exits_two(
+    content, message, tmp_path, capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve started on an invalid config")
+
+    monkeypatch.setattr(slab, "_newton", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert run(["--config", str(cfg), "slab"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cannot use config: ") and message in err
 
 
 def test_config_file_merges_defaults(out_dir, tmp_path):

@@ -10,6 +10,7 @@ from chemofront.evolver import (
     _advective_divergence,
     _diffusion_solver,
     evolve,
+    fit_window_records,
     level_crossing,
     measure_speed,
     speed_from_integral,
@@ -235,6 +236,31 @@ def test_diffusion_solve_on_a_leading_block_matches_its_own_factorization_bitwis
     for k in (4, 5, 17, n):
         got = solve(rhs[:k].copy())
         assert got.tobytes() == _diffusion_solver(k, a)(rhs[:k].copy()).tobytes()
+
+
+@pytest.mark.parametrize("t_max, every", [(9.0, 1.0), (10.0, 1.0), (2.0, 0.3), (1.0, 1.0), (0.004, 1.0)])
+def test_fit_window_records_counts_what_the_speed_fit_finds(t_max, every):
+    # a record count short of 5 is one measure_speed would refuse after the run
+    grid = Grid1D.from_spacing(-10.0, 30.0, 0.2)
+    config = make_config(grid, dt=0.01, t_max=t_max, snapshot_every=every)
+    times = np.array([t for t, _ in evolve(config).front_positions])
+    in_window = int(np.sum(times >= times[-1] - 0.4 * (times[-1] - times[0])))
+    assert fit_window_records(config, 0.4) == min(in_window, 5)
+
+
+@pytest.mark.parametrize("k", [3, 11, 12])
+def test_diffusion_solve_refuses_a_length_outside_its_factorization(k):
+    # 12 values after factoring 10 nodes used to come back with nodes 9 and 10 unsolved
+    rhs = np.arange(float(k))
+    with pytest.raises(ValueError, match=f"takes 4 to 10 nodes, not {k}"):
+        _diffusion_solver(10, 0.25)(rhs)
+    assert np.array_equal(rhs, np.arange(float(k)))  # refused before any write
+
+
+def test_diffusion_solve_raises_on_a_failed_pttrs(monkeypatch):
+    monkeypatch.setattr(evolver, "dpttrs", lambda d, e, b, overwrite_b: (b, -6))
+    with pytest.raises(np.linalg.LinAlgError, match="info -6"):
+        _diffusion_solver(10, 0.25)(np.ones(10))
 
 
 def test_upwind_divergence_matches_the_upwind_pick_bitwise():

@@ -360,6 +360,20 @@ def test_cold_fkpp_wave_reads_only_the_grid_and_theta(monkeypatch):
     assert fixed_point(config).tau_path[0] == (0.0, c)
 
 
+def test_chi_zero_wave_on_a_warm_grid_is_the_fkpp_wave(monkeypatch):
+    # at chi = 0 the model is the FKPP slab: no model solve, not even one
+    # Newton step to check the cached wave
+    config = SlabConfig(a=40.0, params=ChemoParams(0.0, 1.0), spec=EXP)
+    u, c, residual, iterations, ok = slab._fkpp_wave(config.grid, config.theta)
+    calls = _newton_calls(monkeypatch)
+    sol = fixed_point(config)
+    assert calls == []
+    assert sol.converged and ok
+    assert sol.c == c and sol.residual == residual and sol.iterations == iterations
+    assert sol.u.values.tobytes() == u.tobytes()
+    assert sol.tau_path == [(0.0, c), (1.0, c)]
+
+
 def test_writing_the_profile_leaves_the_next_solve_unchanged():
     # at chi = 0 the jump returns the tau = 0 wave itself: it must be a copy
     config = SlabConfig(a=40.0, params=ChemoParams(0.0, 1.0), spec=EXP)

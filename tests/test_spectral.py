@@ -6,7 +6,7 @@ import pytest
 from chemofront import spectral
 from chemofront.grids import Field, Grid1D, constant_field, periodic_difference
 from chemofront.kernels import ChemoParams, KernelSpec
-from chemofront.slab import SlabConfig, SlabSolution, fixed_point
+from chemofront.slab import SlabConfig, SlabSolution, _fkpp_wave, fixed_point
 from chemofront.spectral import (
     CERTIFICATE_SPEEDS,
     _periodic_solver,
@@ -174,12 +174,11 @@ def _recording(monkeypatch):
 
 
 def _recorded_certificate(sol, monkeypatch):
-    # the certificate's eigensolves on a cold grid: the cached chi = 0
-    # certificate is dropped, so a chi = 0 wave is solved for; the slab grid's
-    # ground state is cached first, so that its own cold solve is not recorded
-    config = sol.config
+    # every eigensolve of a certificate on a cold slab grid: the chi = 0 wave's
+    # cached chain is dropped, so it is solved and recorded first (a cold solve
+    # at c_test = 2, then one warm solve per later test speed); a solution other
+    # than that wave then gets three solves of its own
     spectral._fkpp_certificate.cache_clear()
-    spectral._fkpp_ground_state(config.grid, config.theta)
     solves = _recording(monkeypatch)
     return slow_regime_certificate(sol), solves
 
@@ -191,18 +190,31 @@ def test_certificate_starts_from_the_fkpp_ground_state(wave, request, monkeypatc
     sol = request.getfixturevalue(wave)
     report, solves = _recorded_certificate(sol, monkeypatch)
     assert report.passed
-    assert solves[0][2].iterations <= 5  # 18 from the cold start
-    for (pot, _, pair), entry in zip(solves, report.entries, strict=True):
+    # the chi = 0 chain's first solve is the cold one of V(2) = -u
+    pot, start, ground = solves[0]
+    assert start is None
+    assert np.array_equal(pot.values, -_fkpp_wave(sol.config.grid, sol.config.theta)[0])
+    own = solves[-3:]  # at chi = 0, the chain itself
+    if sol.config.params.chi != 0.0:
+        assert len(solves) == 6
+        # a chi != 0 chain starts from that eigenvector scaled to a largest value of 1
+        assert np.array_equal(own[0][1].values, ground.phi.values / np.max(ground.phi.values))
+        assert own[0][2].iterations <= 5  # 18 from the cold start
+    else:
+        assert len(solves) == 3
+    for (pot, _, pair), entry in zip(own, report.entries, strict=True):
         assert entry["lambda"] == pair.lam
         assert pair.lam == pytest.approx(principal_eigenpair(pot).lam, abs=1e-12)
         assert pair.lam == pytest.approx(banded_principal_eigenvalue(pot), abs=1e-10)
 
 
-def test_certificate_at_chi_zero_takes_one_iteration_per_speed(slab_neutral, monkeypatch):
+def test_chi_zero_chain_takes_one_iteration_per_later_speed(slab_neutral, monkeypatch):
     # at chi = 0 the wave is the cached FKPP wave and the potentials differ from
-    # V = -u by constants, so every start is already the ground state
+    # V = -u by constants, so after the cold first solve every start is
+    # already the ground state
     _, solves = _recorded_certificate(slab_neutral, monkeypatch)
-    assert [pair.iterations for _, _, pair in solves] == [1, 1, 1]
+    assert [start is None for _, start, _ in solves] == [True, False, False]
+    assert [pair.iterations for _, _, pair in solves[1:]] == [1, 1]
 
 
 def test_certificate_at_chi_zero_on_a_warm_grid_takes_no_solve(slab_neutral, monkeypatch):
@@ -225,11 +237,10 @@ def test_chi_zero_certificate_is_shared_across_sigma(monkeypatch):
     sol, second = certificate(200.0)
     assert solves == []
     spectral._fkpp_certificate.cache_clear()
-    spectral._fkpp_ground_state.cache_clear()
     _, cold = certificate(200.0)
-    assert len(solves) == 4  # the ground state's cold solve, then one per test speed
+    assert len(solves) == 3  # the chain: a cold solve, then one per later test speed
     # the uncached chain on the drift the slab solution itself gives
-    solved = spectral._certificate_entries(sol.config.grid, sol.config.theta, sol.u, *slab_drift(sol))
+    solved, _ = spectral._certificate_entries(sol.u, *slab_drift(sol), None)
     assert second.passed
     assert second.entries == first.entries == cold.entries == solved
 
@@ -266,15 +277,15 @@ def test_chi_zero_certificate_entries_are_fresh_copies(slab_neutral):
 def test_certificate_first_solve_takes_at_most_two_iterations(wave, request, monkeypatch):
     sol = request.getfixturevalue(wave)
     _, solves = _recorded_certificate(sol, monkeypatch)
-    start = solves[0][1].values
-    assert not start.flags.writeable and np.max(start) == 1.0
-    assert solves[0][2].iterations <= 2
+    _, start, pair = solves[-3]  # the first after the chi = 0 chain
+    assert not start.values.flags.writeable and np.max(start.values) == 1.0
+    assert pair.iterations <= 2
 
 
 def test_ground_state_is_solved_once_per_slab_grid(slab_repulsive, slab_attractive, monkeypatch):
-    # two certificates on one slab grid: one cold eigensolve for the cached
-    # start, then three per certificate
-    spectral._fkpp_ground_state.cache_clear()
+    # two certificates on one slab grid: the chi = 0 chain once (one cold
+    # eigensolve, then two warm ones), then three warm solves per certificate
+    spectral._fkpp_certificate.cache_clear()
     calls = []
 
     def counting(V, start=None):
@@ -283,11 +294,11 @@ def test_ground_state_is_solved_once_per_slab_grid(slab_repulsive, slab_attracti
 
     monkeypatch.setattr(spectral, "principal_eigenpair", counting)
     first = slow_regime_certificate(slab_repulsive)
-    assert calls == [True, False, False, False]
+    assert calls == [True, False, False, False, False, False]
     calls.clear()
     second = slow_regime_certificate(slab_attractive)
     assert calls == [False, False, False]
-    info = spectral._fkpp_ground_state.cache_info()
+    info = spectral._fkpp_certificate.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert first.passed and second.passed
 
@@ -324,7 +335,7 @@ def test_certificate_start_cannot_overflow_on_a_wide_slab(monkeypatch):
     with pytest.raises(OverflowError):
         transform_to_w(sol)
     report, solves = _recorded_certificate(sol, monkeypatch)
-    first = solves[0][1].values
+    first = solves[-3][1].values  # the first start after the chi = 0 chain
     assert np.all(np.isfinite(first)) and np.min(first) > 0.0 and np.max(first) == 1.0
     assert report.applicable and len(report.entries) == 3
 
