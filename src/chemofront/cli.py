@@ -22,6 +22,8 @@ from . import __version__
 from .convolve import advection, advection_gradient
 from .diagnostics import decay_fit, monotonicity_check, moment_check
 from .evolver import (
+    FIT_MIN_RECORDS,
+    FIT_WINDOW,
     BlowUpError,
     EvolveConfig,
     evolve,
@@ -91,7 +93,7 @@ def read_profile(path: str | Path) -> tuple[Field, Field, Field]:
     return u, v, vx
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: Path) -> dict:
     """Flag defaults from a JSON file: an object whose values are strings or
     numbers (true and false are neither)."""
     with open(path) as fh:
@@ -117,10 +119,9 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         prog="chemofront",
         description="Front-speed laboratory for the FKPP equation with nonlocal advection",
     )
-    parser.add_argument("--config", help="JSON file with flag defaults (flags override)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
     under_out_dir = " (a relative path is resolved under FKPP_OUT_DIR)"
+    parser.add_argument("--config", help="JSON file with flag defaults (flags override)" + under_out_dir)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--chi", type=float, default=0.0)
@@ -141,7 +142,6 @@ def _build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_evolve.add_argument("--dt", type=float, default=0.002)
     p_evolve.add_argument("--tmax", type=float, default=150.0)
     p_evolve.add_argument("--snapshot-every", type=float, default=1.0)
-    p_evolve.add_argument("--level", type=float, default=0.5)
 
     p_slab = sub.add_parser("slab", help="traveling-wave slab solve")
     common(p_slab)
@@ -191,18 +191,16 @@ def _cmd_evolve(args) -> int:
         snapshot_every=args.snapshot_every,
         params=params,
         spec=spec,
-        track_level=args.level,
     )
-    window = 0.4  # the speed fit's share of the run
-    if fit_window_records(config, window) < 5:
+    if fit_window_records(config) < FIT_MIN_RECORDS:
         raise ValueError(
-            f"--tmax {args.tmax:g} with --snapshot-every {args.snapshot_every:g} records fewer "
-            f"than 5 fronts in the speed fit's window, the last {window:.0%} of the run"
+            f"--tmax {args.tmax:g} with --snapshot-every {args.snapshot_every:g} records fewer than "
+            f"{FIT_MIN_RECORDS} fronts in the speed fit's window, the last {FIT_WINDOW:.0%} of the run"
         )
     traj = evolve(config)
     est, no_speed = None, ""
     try:
-        est = measure_speed(traj, args.level, window)
+        est = measure_speed(traj)
     except ValueError as exc:
         if traj.abort_reason is None:
             raise
@@ -365,7 +363,7 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         try:
-            parser = _build_parser(_read_config(args.config))
+            parser = _build_parser(_read_config(_resolve(args.config)))
         except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             print(f"cannot use config: {exc}", file=sys.stderr)
             return EXIT_CONFIG

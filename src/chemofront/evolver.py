@@ -57,6 +57,13 @@ from .lapack import dpttrf, dpttrs
 WINDOW_BEHIND = 50.0  # x units a step reaches behind the front (plus the kernel's reach)
 WINDOW_AHEAD = 100.0  # least x units a step reaches ahead of the front
 WINDOW_SPREAD = 8.0  # ... or this times sqrt(t_max), if longer
+# the front-speed measurement: where u crosses TRACK_LEVEL is the front, and its
+# speed is the least-squares slope over the run's last FIT_WINDOW, which must
+# hold at least FIT_MIN_RECORDS records (the long-run speed does not depend on
+# the level; Ebert & van Saarloos 2000, Physica D 146:1)
+TRACK_LEVEL = 0.5
+FIT_WINDOW = 0.4
+FIT_MIN_RECORDS = 5
 
 
 class BlowUpError(RuntimeError):
@@ -82,7 +89,6 @@ class EvolveConfig:
     params: ChemoParams
     spec: KernelSpec
     initial: Field | None = None  # default: smoothed step of width 2
-    track_level: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.t_max < math.inf:
@@ -100,8 +106,6 @@ class EvolveConfig:
                     f"{name} = {getattr(self, name)} with dt = {self.dt} gives a non-finite "
                     f"step count {steps}"
                 )
-        if not 0.0 < self.track_level < 1.0:
-            raise ValueError("track_level must lie in (0, 1)")
 
     @property
     def front_margin(self) -> float:
@@ -120,10 +124,9 @@ class EvolveConfig:
 @dataclass
 class Trajectory:
     snapshots: list[tuple[float, Field]]  # the latest (t, profile) only
-    front_positions: list[tuple[float, float]]  # (t, x) at the tracked level
+    front_positions: list[tuple[float, float]]  # (t, x) where u crosses TRACK_LEVEL
     clipped_mass: float = 0.0
     abort_reason: str | None = None
-    config: EvolveConfig | None = None
     stepped: tuple[int, int] | None = None  # the nodes [lo, hi) the last step advanced
 
     def final(self) -> Field:
@@ -185,16 +188,16 @@ def _record_steps(config: EvolveConfig) -> tuple[int, int]:
     return int(round(config.t_max / config.dt)), max(1, int(round(config.snapshot_every / config.dt)))
 
 
-def fit_window_records(config: EvolveConfig, window_fraction: float) -> int:
-    """The number of a run's records, up to 5 (the fewest `measure_speed`
-    fits on), in its last ``window_fraction`` when the front is tracked from
-    t = 0: the most any run of ``config`` can give, since a front first
-    tracked later only narrows the window."""
+def fit_window_records(config: EvolveConfig) -> int:
+    """The number of a run's records, up to ``FIT_MIN_RECORDS`` (the fewest
+    `measure_speed` fits on), in its last ``FIT_WINDOW`` when the front is
+    tracked from t = 0: the most any run of ``config`` can give, since a front
+    first tracked later only narrows the window."""
     n_steps, stride = _record_steps(config)
     t_end = n_steps * config.dt
-    t_start = t_end - window_fraction * t_end  # measure_speed's, with the first record at t = 0
+    t_start = t_end - FIT_WINDOW * t_end  # measure_speed's, with the first record at t = 0
     # the last record's step, then the multiples of the stride below it
-    steps = [n_steps, *range((n_steps - 1) // stride * stride, -1, -stride)[:4]]
+    steps = [n_steps, *range((n_steps - 1) // stride * stride, -1, -stride)[: FIT_MIN_RECORDS - 1]]
     return sum(step * config.dt >= t_start for step in steps)
 
 
@@ -217,11 +220,11 @@ def _advective_divergence(
 def evolve(config: EvolveConfig) -> Trajectory:
     """Advance the profile to t_max, tracking the front every ``snapshot_every``.
 
-    Each record appends the tracked front position and replaces the one
-    profile kept in ``snapshots``.  The run aborts (returning the partial
-    trajectory with ``abort_reason`` set) if the tracked front comes within
-    ``front_margin`` of the right boundary, so the profile never feels the
-    constant right extension.  Profiles and front positions are taken on the
+    Each record appends the front position, where u crosses ``TRACK_LEVEL``,
+    and replaces the one profile kept in ``snapshots``.  The run aborts
+    (returning the partial trajectory with ``abort_reason`` set) if the
+    tracked front comes within ``front_margin`` of the right boundary, so the
+    profile never feels the constant right extension.  Profiles and front positions are taken on the
     whole grid.
 
     Each step advances the nodes [lo, hi) (see the module docstring;
@@ -256,12 +259,12 @@ def evolve(config: EvolveConfig) -> Trajectory:
     back, lead = np.ceil(behind / dx), np.ceil(ahead / dx)  # floats: the lengths may be infinite
     lo, hi = 0, n  # the whole grid until a record places the range
 
-    traj = Trajectory(snapshots=[], front_positions=[], config=config)
+    traj = Trajectory(snapshots=[], front_positions=[])
 
     def record(t: float) -> bool:
         nonlocal lo, hi
         traj.snapshots[:] = [(t, u.with_values(values.copy()))]
-        pos = level_crossing(u, config.track_level)
+        pos = level_crossing(u, TRACK_LEVEL)
         if pos is not None:
             traj.front_positions.append((t, pos))
             if grid.x_max - pos < config.front_margin:
@@ -322,20 +325,19 @@ def evolve(config: EvolveConfig) -> Trajectory:
 
 
 def measure_speed(
-    traj: Trajectory, level: float = 0.5, window_fraction: float = 0.5
+    traj: Trajectory, level: float = TRACK_LEVEL, window_fraction: float = FIT_WINDOW
 ) -> SpeedEstimate:
     """Least-squares front speed from the tracked front positions vs time.
 
     The fit uses the last ``window_fraction`` of the trajectory, where the
-    transient from the initial datum has decayed.  ``level`` must be the
-    level ``evolve`` tracked.
+    transient from the initial datum has decayed, and refuses a window of
+    fewer than ``FIT_MIN_RECORDS`` records.  ``level`` must be
+    ``TRACK_LEVEL``, the one level ``evolve`` tracks; it stays a positional
+    parameter only because ``perfbench/workloads.py`` calls
+    ``measure_speed(traj, 0.5, 0.4)``.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    if traj.config is not None and level != traj.config.track_level:
-        raise ValueError(
-            f"level {level} was not tracked (the run tracked {traj.config.track_level})"
-        )
+    if level != TRACK_LEVEL:
+        raise ValueError(f"level {level} was not tracked (evolve tracks {TRACK_LEVEL})")
     pts = traj.front_positions
     if not pts:
         raise ValueError(f"level {level} never attained")
@@ -344,8 +346,8 @@ def measure_speed(
     t_end = times[-1]
     t_start = t_end - window_fraction * (t_end - times[0])
     mask = times >= t_start
-    if mask.sum() < 5:
-        raise ValueError("fewer than 5 snapshots in the fit window")
+    if mask.sum() < FIT_MIN_RECORDS:
+        raise ValueError(f"fewer than {FIT_MIN_RECORDS} snapshots in the fit window")
     t_fit, x_fit = times[mask], positions[mask]
     coeffs, cov = np.polyfit(t_fit, x_fit, 1, cov=True)
     return SpeedEstimate(

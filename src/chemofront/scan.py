@@ -114,7 +114,7 @@ def _evolve_speed(params: ChemoParams, config: ScanConfig) -> float:
         spec=config.spec,
     )
     traj = evolve(cfg)
-    return measure_speed(traj, 0.5, 0.4).c
+    return measure_speed(traj).c
 
 
 def _run_cell(args: tuple) -> RegimeRecord:

@@ -67,7 +67,7 @@ def slab_solutions():
 
 
 def test_criterion_01_slow_front_speed(slow_trajectory):
-    est = measure_speed(slow_trajectory)
+    est = measure_speed(slow_trajectory, window_fraction=0.5)
     ok = slow_trajectory.abort_reason is None and 1.90 <= est.c <= 2.02
     report(1, "slow-regime front speed", ok, f"c = {est.c:.4f}")
     assert ok

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import platform
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import chemofront
-from chemofront import cli, evolver, grids, slab, spectral
+from chemofront import cli, evolver, grids, scan, slab, spectral
 from chemofront.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -361,6 +362,17 @@ def test_config_file_merges_defaults(out_dir, tmp_path):
     assert (out_dir / "explicit.csv").exists()
 
 
+def test_relative_config_lies_under_the_out_dir(tmp_path, monkeypatch):
+    # the one path rule: a relative --config is read under FKPP_OUT_DIR, as --input is
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setenv("FKPP_OUT_DIR", str(out))
+    monkeypatch.chdir(tmp_path)
+    (out / "c.json").write_text(json.dumps({"out": "from_config.csv"}))
+    assert run(["--config", "c.json", "slab"]) == EXIT_OK
+    assert (out / "from_config.csv").exists()
+
+
 def test_bad_config_file_exits_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -397,6 +409,31 @@ def test_scan_with_failed_slab_solve_exits_one(out_dir, capsys, capped_slab_newt
     assert code == EXIT_CHECK_FAILED
     row = (out_dir / "scan.csv").read_text().splitlines()[1].split(",")
     assert row[10] == "slow" and row[11] == "slab-not-converged"
+    assert "1 with a failed solve or certificate" in capsys.readouterr().err
+
+
+def _negative_certificate(sol):
+    return spectral.CertificateReport(True, "", sol.config.a, [{"lambda": -1.0, "phi0": 1.0}])
+
+
+@pytest.mark.parametrize(
+    "argv, certificate, classification, flag",
+    [
+        # dx = 0.1 resolves no kernel of width sigma = 0.2: the evolve run refuses its grid
+        (["--chis=-0.01", "--sigmas", "0.2", "--mode", "evolve"], None, "skipped",
+         "evolve-error: dx=0.1 too coarse for sigma=0.2; need dx <= sigma/4"),
+        # a converged slow wave whose certificate reports a negative principal eigenvalue
+        (["--chis=0", "--sigmas", "1"], _negative_certificate, "slow", "certificate-failed"),
+    ],
+)
+def test_scan_with_a_failure_flag_exits_one(out_dir, monkeypatch, capsys, argv, certificate,
+                                            classification, flag):
+    if certificate is not None:
+        monkeypatch.setattr(scan, "slow_regime_certificate", certificate)
+    assert run(["scan", *argv]) == EXIT_CHECK_FAILED
+    with open(out_dir / "scan.csv", newline="") as fh:
+        [row] = list(csv.DictReader(fh))
+    assert (row["classification"], row["flags"]) == (classification, flag)
     assert "1 with a failed solve or certificate" in capsys.readouterr().err
 
 

@@ -5,6 +5,8 @@ from scipy.fft import next_fast_len
 
 from chemofront import convolve, evolver
 from chemofront.evolver import (
+    FIT_MIN_RECORDS,
+    FIT_WINDOW,
     EvolveConfig,
     Trajectory,
     _advective_divergence,
@@ -48,8 +50,6 @@ def test_config_validation():
         make_config(grid, t_max=0.0)
     with pytest.raises(ValueError):
         make_config(grid, snapshot_every=0.0)
-    with pytest.raises(ValueError):
-        make_config(grid, track_level=1.0)
     for field in ("dt", "t_max", "snapshot_every"):
         with pytest.raises(ValueError, match=field):
             make_config(grid, **{field: float("nan")})
@@ -112,7 +112,7 @@ def test_steady_states_preserved_with_advection():
 def test_measure_speed_on_synthetic_translation():
     c_true = 3.0
     track = [(float(t), 1.5 + c_true * float(t)) for t in np.linspace(0.0, 10.0, 41)]
-    est = measure_speed(Trajectory(snapshots=[], front_positions=track))
+    est = measure_speed(Trajectory(snapshots=[], front_positions=track), window_fraction=0.5)
     assert est.c == pytest.approx(c_true, abs=1e-12)
     assert est.stderr < 1e-12
     assert est.window == (5.0, 10.0)
@@ -128,7 +128,7 @@ def test_measure_speed_error_paths():
     with pytest.raises(ValueError):
         measure_speed(traj, level=0.0)
     track = [(0.1 * i, 0.2 * i) for i in range(20)]
-    tracked = Trajectory(snapshots=[], front_positions=track, config=make_config(grid))
+    tracked = Trajectory(snapshots=[], front_positions=track)
     assert measure_speed(tracked, 0.5).c == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError, match="not tracked"):
         measure_speed(tracked, 0.4)  # only the tracked level was recorded
@@ -240,12 +240,12 @@ def test_diffusion_solve_on_a_leading_block_matches_its_own_factorization_bitwis
 
 @pytest.mark.parametrize("t_max, every", [(9.0, 1.0), (10.0, 1.0), (2.0, 0.3), (1.0, 1.0), (0.004, 1.0)])
 def test_fit_window_records_counts_what_the_speed_fit_finds(t_max, every):
-    # a record count short of 5 is one measure_speed would refuse after the run
+    # a record count short of FIT_MIN_RECORDS is one measure_speed would refuse after the run
     grid = Grid1D.from_spacing(-10.0, 30.0, 0.2)
     config = make_config(grid, dt=0.01, t_max=t_max, snapshot_every=every)
     times = np.array([t for t, _ in evolve(config).front_positions])
-    in_window = int(np.sum(times >= times[-1] - 0.4 * (times[-1] - times[0])))
-    assert fit_window_records(config, 0.4) == min(in_window, 5)
+    in_window = int(np.sum(times >= times[-1] - FIT_WINDOW * (times[-1] - times[0])))
+    assert fit_window_records(config) == min(in_window, FIT_MIN_RECORDS)
 
 
 @pytest.mark.parametrize("k", [3, 11, 12])
