@@ -23,7 +23,7 @@ from numpy.fft import irfft, rfft
 
 from .grids import Field
 from .kernels import ChemoParams, KernelSpec, kbar, kernel_scaled
-from .lapack import dpttrs
+from .lapack import pt_solver
 from .reports import BoundsReport
 
 
@@ -202,6 +202,7 @@ class ExpDriftOperator:
         self.e = np.full(n - 1, -self.r)
         for table in (self.d, self.e):
             table.setflags(write=False)  # shared by every caller of the cache
+        self.solve = pt_solver(self.d, self.e)
         self.pad = self.r / -math.expm1(-h)  # r / (1 - r)
         self.advection_scale = math.sinh(0.5 * h) * self.r
         self.sum_scale = math.sinh(0.5 * h) * self.d[-1] / sigma
@@ -214,7 +215,7 @@ class ExpDriftOperator:
         np.subtract(values[2:], values[:-2], out=g[1:-1])
         g[0] = values[1] + r * values[0] - (1.0 + r) * left_ext
         g[-1] = (1.0 + r) * right_ext - values[-2] - r * values[-1]
-        diff, _ = dpttrs(self.d, self.e, g, overwrite_b=1)  # (R - L) / r
+        diff = self.solve(g)  # (R - L) / r
         diff *= chi * self.advection_scale
         return diff
 
@@ -223,7 +224,7 @@ class ExpDriftOperator:
         b = values.copy()
         b[0] += self.pad * left_ext
         b[-1] += self.pad * right_ext
-        y, _ = dpttrs(self.d, self.e, b, overwrite_b=1)
+        y = self.solve(b)
         y *= chi * self.sum_scale
         y += (chi * self.node_scale) * values
         return y

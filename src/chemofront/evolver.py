@@ -52,7 +52,7 @@ import numpy as np
 from .convolve import advection, drift_operator  # noqa: F401 - perfbench/spans.py binds evolver.advection
 from .grids import Field, Grid1D, smoothed_step_field
 from .kernels import ChemoParams, KernelSpec
-from .lapack import dpttrf, dpttrs
+from .lapack import pt_solver, pttrf
 
 WINDOW_BEHIND = 50.0  # x units a step reaches behind the front (plus the kernel's reach)
 WINDOW_AHEAD = 100.0  # least x units a step reaches ahead of the front
@@ -165,9 +165,7 @@ def _diffusion_solver(n: int, a: float):
     solve takes any length 4 <= k <= n from ``rhs`` and overwrites it; any
     other length raises ValueError, and a failed pttrs LinAlgError.
     """
-    d, e, info = dpttrf(np.full(n - 2, 1.0 + 2.0 * a), np.full(n - 3, -a))
-    if info != 0:
-        raise np.linalg.LinAlgError("diffusion matrix is not positive definite")
+    interior_solve = pt_solver(*pttrf(np.full(n - 2, 1.0 + 2.0 * a), np.full(n - 3, -a)))
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         if not 4 <= rhs.size <= n:
@@ -175,9 +173,7 @@ def _diffusion_solver(n: int, a: float):
         interior = rhs[1:-1]
         interior[0] += a * rhs[0]
         interior[-1] += a * rhs[-1]
-        _, info = dpttrs(d[: rhs.size - 2], e[: rhs.size - 3], interior, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"diffusion solve failed (LAPACK pttrs info {info})")
+        interior_solve(interior)
         return rhs
 
     return solve

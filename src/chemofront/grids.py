@@ -1,6 +1,5 @@
-"""Uniform 1-D grids, sampled fields with constant extensions, the slab
-Newton's tridiagonal (three-point stencil) solve and the eigensolver's
-periodic difference."""
+"""Uniform 1-D grids, sampled fields with constant extensions and the
+eigensolver's periodic difference."""
 
 from __future__ import annotations
 
@@ -8,8 +7,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .lapack import dgttrf, dgttrs
 
 
 def _check_bounds(x_min: float, x_max: float) -> None:
@@ -55,14 +52,6 @@ class Grid1D:
             raise ValueError(f"grid spacing dx = {dx} gives a non-finite step count {steps}")
         n = round(steps) + 1
         return Grid1D(x_min, x_min + (n - 1) * dx, n)
-
-
-def tridiagonal_solver(lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
-    """Factor a tridiagonal matrix once (LAPACK gttrf); returns its solve."""
-    *factors, info = dgttrf(lower, main, upper)
-    if info != 0:
-        raise np.linalg.LinAlgError("singular tridiagonal system")
-    return lambda rhs: dgttrs(*factors, rhs)[0]
 
 
 def periodic_difference(y: np.ndarray, out: np.ndarray) -> np.ndarray:

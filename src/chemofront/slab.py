@@ -34,8 +34,9 @@ import numpy as np
 
 from .convolve import advection, drift_operator  # noqa: F401 - perfbench/spans.py binds slab.advection
 from .evolver import sup_bound
-from .grids import Field, Grid1D, tridiagonal_solver
+from .grids import Field, Grid1D
 from .kernels import ChemoParams, KernelSpec
+from .lapack import gt_solver
 from .reports import BoundsReport
 
 NEWTON_TOL = 1e-10  # max-norm residual that ends a Newton solve
@@ -227,7 +228,7 @@ def _newton(
             return u, c, nrm, it, True
         lower, main, upper = _bands(c, v, dx)
         main[1:-1] += 1.0 - 1.0 / delta - 2.0 * u[1:-1]
-        solve = tridiagonal_solver(lower, main, upper)
+        solve = gt_solver(lower, main, upper)
         dFdc = np.zeros(n)
         dFdc[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
         r2 = solve(dFdc)

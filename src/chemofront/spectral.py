@@ -20,7 +20,7 @@ import numpy as np
 
 from .convolve import advection, advection_gradient
 from .grids import Field, Grid1D, periodic_difference
-from .lapack import dpttrf, dpttrs
+from .lapack import pt_solver, pttrf
 from .slab import SlabSolution, _fkpp_wave
 
 CERTIFICATE_GATE = 0.1  # largest |chi|(1/sigma + sigma^2) the certificate covers
@@ -84,19 +84,17 @@ def _periodic_solver(main: np.ndarray, off: float):
     t = main.copy()
     t[0] -= gamma
     t[-1] -= (gamma * corner) * corner
-    d, e, info = dpttrf(t, np.full(main.size - 1, off))
-    if info != 0:
-        raise np.linalg.LinAlgError("periodic matrix is not positive definite")
-    gamma_w = np.zeros(main.size)
-    gamma_w[0], gamma_w[-1] = gamma, gamma * corner
-    z, _ = dpttrs(d, e, gamma_w)
+    solve = pt_solver(*pttrf(t, np.full(main.size - 1, off)))
+    z = np.zeros(main.size)
+    z[0], z[-1] = gamma, gamma * corner
+    solve(z)  # T^-1 gamma w
     denominator = 1.0 + (z[0] + corner * z[-1])
     if not denominator > 0.0:
         raise np.linalg.LinAlgError("periodic matrix is not positive definite")
     z /= denominator
 
     def periodic_solve(rhs: np.ndarray) -> np.ndarray:
-        y, _ = dpttrs(d, e, rhs)
+        y = solve(rhs.copy())
         return y - (y[0] + corner * y[-1]) * z
 
     return periodic_solve

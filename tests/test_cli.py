@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chemofront
-from chemofront import cli, evolver, grids, scan, slab, spectral
+from chemofront import cli, evolver, lapack, scan, slab, spectral
 from chemofront.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -129,8 +129,8 @@ def test_slab_too_long_for_a_positive_wave_exits_three_with_strict_json(out_dir)
 
 def test_singular_tridiagonal_system_exits_three(monkeypatch, capsys):
     # np.linalg.LinAlgError subclasses ValueError, which alone would read as exit 2
-    dgttrf = grids.dgttrf
-    monkeypatch.setattr(grids, "dgttrf", lambda *bands: (*dgttrf(*bands)[:-1], 1))
+    gttrf = lapack._routines.gttrf
+    monkeypatch.setattr(lapack._routines, "gttrf", lambda *bands: (*gttrf(*bands)[:-1], 1))
     assert run(["slab", "--chi", "-0.05", "--a", "40"]) == EXIT_NO_CONVERGENCE
     assert "singular tridiagonal system" in capsys.readouterr().err
 
@@ -484,34 +484,52 @@ print([m for m in {after_work!r} if m in sys.modules])
 
 
 LAPACK_ROUTINES = ("dgttrf", "dgttrs", "dpttrf", "dpttrs")
+# what numpy < 1.26 reports (no build configuration), which forces the SciPy source
+FORCE_SCIPY_SOURCE = "import numpy.__config__; numpy.__config__.CONFIG = None\n"
 
 
 def test_lapack_routines_are_scipys_after_chemofront_loads_first():
-    # conftest imports chemofront before the oracles import scipy.linalg, so in
-    # this process scipy.linalg found the extension chemofront had registered
-    import scipy.linalg.lapack
-
-    from chemofront import lapack
-
-    for name in LAPACK_ROUTINES:
-        assert getattr(lapack, name) is getattr(scipy.linalg.lapack, name)
+    # the extension chemofront registered is the one scipy.linalg then finds
+    result = _fresh_python(FORCE_SCIPY_SOURCE + f"""
+from chemofront import lapack
+assert isinstance(lapack._routines, lapack.SciPyRoutines)
+import scipy.linalg.lapack
+assert all(getattr(lapack._routines, n) is getattr(scipy.linalg.lapack, n) for n in {LAPACK_ROUTINES!r})
+""")
+    assert result.returncode == 0, result.stderr
 
 
 def test_lapack_extension_missing_names_the_searched_path(tmp_path, monkeypatch):
-    from types import SimpleNamespace
+    import scipy
 
-    from chemofront import lapack
-
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(lapack, "scipy", SimpleNamespace(__file__=str(tmp_path / "__init__.py")))
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
     with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
-        lapack._load_flapack()
+        lapack.SciPyRoutines()
 
 
 def test_lapack_routines_are_scipys_after_scipy_linalg_loads_first():
-    result = _fresh_python(f"""
+    result = _fresh_python(FORCE_SCIPY_SOURCE + f"""
 import scipy.linalg.lapack
 from chemofront import lapack
-assert all(getattr(lapack, n) is getattr(scipy.linalg.lapack, n) for n in {LAPACK_ROUTINES!r})
+assert isinstance(lapack._routines, lapack.SciPyRoutines)
+assert all(getattr(lapack._routines, n) is getattr(scipy.linalg.lapack, n) for n in {LAPACK_ROUTINES!r})
+""")
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.skipif(
+    not isinstance(lapack._routines, lapack.OpenBLAS64Routines) or not os.path.exists("/proc/self/maps"),
+    reason="numpy reports no vendored ILP64 OpenBLAS, or no /proc/self/maps to read",
+)
+def test_cli_process_maps_only_numpys_openblas():
+    result = _fresh_python("""
+import sys, chemofront.cli
+from chemofront.kernels import ChemoParams, KernelSpec
+from chemofront.slab import SlabConfig, fixed_point
+assert fixed_point(SlabConfig(20.0, ChemoParams(-0.05, 1.0), KernelSpec("exp"), dx=0.2)).converged
+assert "scipy.linalg._flapack" not in sys.modules
+with open("/proc/self/maps") as maps:
+    assert not [line for line in maps if "libscipy_openblas-" in line]
 """)
     assert result.returncode == 0, result.stderr

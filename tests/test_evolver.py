@@ -3,7 +3,7 @@ import pytest
 
 from scipy.fft import next_fast_len
 
-from chemofront import convolve, evolver
+from chemofront import convolve, evolver, lapack
 from chemofront.evolver import (
     FIT_MIN_RECORDS,
     FIT_WINDOW,
@@ -258,7 +258,7 @@ def test_diffusion_solve_refuses_a_length_outside_its_factorization(k):
 
 
 def test_diffusion_solve_raises_on_a_failed_pttrs(monkeypatch):
-    monkeypatch.setattr(evolver, "dpttrs", lambda d, e, b, overwrite_b: (b, -6))
+    monkeypatch.setattr(lapack._routines, "bind_pttrs", lambda d, e: lambda b: -6)
     with pytest.raises(np.linalg.LinAlgError, match="info -6"):
         _diffusion_solver(10, 0.25)(np.ones(10))
 

@@ -7,10 +7,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from chemofront.grids import Field, tridiagonal_solver
+from chemofront.grids import Field
 from chemofront.kernels import ChemoParams, KernelSpec
 from chemofront import slab
 from chemofront.convolve import advection, drift_operator
+from chemofront.lapack import gt_solver
 from chemofront.slab import (
     SlabConfig,
     SlabSolution,
@@ -69,7 +70,7 @@ def test_linear_bvp_manufactured_solution():
     c = 0.5
     rhs = np.zeros(grid.n)
     rhs[0] = 1.0  # Dirichlet rows
-    sol = tridiagonal_solver(*slab._bands(c, np.zeros(grid.n), grid.dx))(rhs)
+    sol = gt_solver(*slab._bands(c, np.zeros(grid.n), grid.dx))(rhs)
     x = grid.x
     exact = (np.exp(-c * x) - np.exp(-c * config.a)) / (
         np.exp(c * config.a) - np.exp(-c * config.a)
@@ -484,7 +485,7 @@ def test_non_finite_trial_ends_the_solve_at_the_last_finite_iterate(monkeypatch,
     if chi != 0.0:
         monkeypatch.setattr(slab, "_gmres", lambda apply, b: np.full(b.size, np.inf))
     else:
-        real = slab.tridiagonal_solver
+        real = slab.gt_solver
 
         def infinite_step(lower, main, upper):
             solve, calls = real(lower, main, upper), itertools.count()
@@ -497,7 +498,7 @@ def test_non_finite_trial_ends_the_solve_at_the_last_finite_iterate(monkeypatch,
 
             return step
 
-        monkeypatch.setattr(slab, "tridiagonal_solver", infinite_step)
+        monkeypatch.setattr(slab, "gt_solver", infinite_step)
     grid = config.grid
     start, drift = slab._seed_profile(grid, config.theta).values, _exp_drift(grid, chi)
     with warnings.catch_warnings(record=True) as caught:
