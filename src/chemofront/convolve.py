@@ -49,9 +49,7 @@ class KernelResolutionError(ValueError):
 
 def _check_resolution(dx: float, sigma: float) -> None:
     if dx > sigma / 4.0:
-        raise KernelResolutionError(
-            f"dx={dx} too coarse for sigma={sigma}; need dx <= sigma/4"
-        )
+        raise KernelResolutionError(f"dx={dx} too coarse for sigma={sigma} (need dx <= sigma/4)")
 
 
 def _window(spec: KernelSpec, sigma: float, dx: float, n: int) -> int:

@@ -12,26 +12,28 @@ right-hand side.  Every call checks dtype, contiguity, writability and
 lengths before LAPACK sees an array, and raises ``LinAlgError`` on a nonzero
 LAPACK status.
 
-The routines come from one of two places, chosen at import from what numpy
-reports about itself:
+The routines are called through ctypes at their addresses by one binding,
+:class:`Routines`; only where the addresses come from, and the width of the
+LAPACK INTEGER there, depend on what numpy reports about itself at import:
 
 * numpy's own OpenBLAS, when ``numpy.__config__.CONFIG`` names a
   ``scipy-openblas`` LAPACK built with ``USE64BITINT`` and the library is in
   ``numpy.libs`` (numpy >= 2 wheels on Linux).  ``import numpy`` has already
-  mapped it; the routines are bound with ctypes under their
-  ``scipy_<routine>_64_`` names, and every INTEGER, ``ipiv`` included, is
-  int64.  A process then maps one OpenBLAS and starts one thread pool.
+  mapped it; the routines are its ``scipy_<routine>_64_`` symbols, and every
+  INTEGER, ``ipiv`` included, is int64.  A process then maps one OpenBLAS
+  and starts one thread pool.
 * SciPy's f2py extension ``scipy.linalg._flapack`` everywhere else (numpy
-  1.x, numpy built against another LAPACK), loaded without importing
-  ``scipy.linalg``, whose package ``__init__`` loads SciPy's array-API layer
-  and with it ``numpy.f2py``, ``numpy.testing``, ``numpy.random`` and
-  ``numpy.ma``.  The extension is found beside ``scipy.linalg``'s
-  ``__init__`` (where SciPy >= 1.12 puts it) and registered in
-  ``sys.modules`` under its own name, so a later ``import scipy.linalg``
-  reuses it.
+  1.x, numpy built against another LAPACK): the addresses its own wrappers
+  call, read from each routine's ``_cpointer`` capsule, with int32
+  INTEGERs.  The extension is loaded without importing ``scipy.linalg``,
+  whose package ``__init__`` loads SciPy's array-API layer and with it
+  ``numpy.f2py``, ``numpy.testing``, ``numpy.random`` and ``numpy.ma``.  It
+  is found beside ``scipy.linalg``'s ``__init__`` (where SciPy >= 1.12 puts
+  it) and registered in ``sys.modules`` under its own name, so a later
+  ``import scipy.linalg`` reuses it.
 
 Both run the same reference LAPACK code; tests/test_lapack.py checks that
-they give bitwise the same factors and solutions.
+they give bitwise the same factors and solutions as ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -79,35 +81,6 @@ def vendored_openblas64(config: dict | None, libs: str) -> str | None:
     return found[0] if found else None
 
 
-class SciPyRoutines:
-    """The four routines from SciPy's f2py extension; arrays are passed whole
-    and overwritten in place (they are checked C-contiguous float64)."""
-
-    def __init__(self):
-        flapack = _load_flapack()
-        self.dpttrf, self.dpttrs = flapack.dpttrf, flapack.dpttrs
-        self.dgttrf, self.dgttrs = flapack.dgttrf, flapack.dgttrs
-
-    def pttrf(self, d, e):
-        return self.dpttrf(d, e, overwrite_d=1, overwrite_e=1)
-
-    def bind_pttrs(self, d, e):
-        dpttrs = self.dpttrs
-
-        def pttrs(b):
-            k = b.size
-            return dpttrs(d[:k], e[: k - 1], b, overwrite_b=1)[1]
-
-        return pttrs
-
-    def gttrf(self, dl, d, du):
-        return self.dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-
-    def bind_gttrs(self, dl, d, du, du2, ipiv):
-        dgttrs = self.dgttrs
-        return lambda b: dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[1]
-
-
 def _pointer(a: np.ndarray, ctype=ctypes.c_double):
     """A pointer to `a`'s data that holds a reference to `a`.  ``from_buffer``
     costs a quarter of ``a.ctypes``, but refuses a read-only array."""
@@ -117,35 +90,55 @@ def _pointer(a: np.ndarray, ctype=ctypes.c_double):
         return a.ctypes.data_as(ctypes.c_void_p)
 
 
-class OpenBLAS64Routines:
-    """The four routines from numpy's ILP64 OpenBLAS through ctypes: every
-    argument a pointer (INTEGERs, ``ipiv`` included, to int64), and dgttrs's
-    CHARACTER followed by its hidden length.  A bound solve reuses its own N
-    and INFO, so it must not run in two threads at once."""
+_ARGTYPES = {  # every argument a pointer, but for dgttrs's hidden CHARACTER length
+    "dpttrf": [ctypes.c_void_p] * 4,  # N, D, E, INFO
+    "dpttrs": [ctypes.c_void_p] * 7,  # N, NRHS, D, E, B, LDB, INFO
+    "dgttrf": [ctypes.c_void_p] * 7,  # N, DL, D, DU, DU2, IPIV, INFO
+    "dgttrs": [ctypes.c_void_p] * 11 + [ctypes.c_size_t],  # TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB, INFO
+}
 
-    def __init__(self, path: str):
+
+class Routines:
+    """The four routines called through ctypes at their addresses, with the
+    arguments of `_ARGTYPES`; every INTEGER, ``ipiv`` included, is of the
+    source's ctypes type `integer`.  A bound solve reuses its own N and INFO,
+    so it must not run in two threads at once."""
+
+    def __init__(self, addresses: dict[str, int], integer):
+        # numpy converts a ctypes type to a dtype in Python, at each call
+        self.integer, self.ipiv_dtype = integer, np.dtype(integer)
+        for name, argtypes in _ARGTYPES.items():
+            setattr(self, name, ctypes.CFUNCTYPE(None, *argtypes)(addresses[name]))
+
+    @classmethod
+    def numpy_openblas64(cls, path: str) -> Routines:
+        """The ``scipy_<routine>_64_`` symbols of numpy's ILP64 OpenBLAS at
+        `path`, with int64 INTEGERs."""
         lib = ctypes.CDLL(path)  # already mapped by numpy: no second copy
-        pointer, length = ctypes.c_void_p, ctypes.c_size_t
-        for name, argtypes in (
-            ("dpttrf", [pointer] * 4),  # N, D, E, INFO
-            ("dpttrs", [pointer] * 7),  # N, NRHS, D, E, B, LDB, INFO
-            ("dgttrf", [pointer] * 7),  # N, DL, D, DU, DU2, IPIV, INFO
-            ("dgttrs", [pointer] * 11 + [length]),  # TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB, INFO
-        ):
-            routine = getattr(lib, f"scipy_{name}_64_")
-            routine.argtypes, routine.restype = argtypes, None
-            setattr(self, name, routine)
+        symbols = {name: getattr(lib, f"scipy_{name}_64_") for name in _ARGTYPES}
+        return cls({name: ctypes.cast(f, ctypes.c_void_p).value for name, f in symbols.items()}, ctypes.c_int64)
+
+    @classmethod
+    def scipy_flapack(cls) -> Routines:
+        """The LP64 routines SciPy's f2py extension calls, at the addresses its
+        ``_cpointer`` capsules hold, with int32 INTEGERs."""
+        flapack, api = _load_flapack(), ctypes.pythonapi
+        # private prototypes: argtypes set on ctypes.pythonapi would be every module's
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+        address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+        capsules = {routine: getattr(flapack, routine)._cpointer for routine in _ARGTYPES}
+        return cls({routine: address(capsule, name(capsule)) for routine, capsule in capsules.items()}, ctypes.c_int32)
 
     def pttrf(self, d, e):
-        info = ctypes.c_int64()
-        self.dpttrf(ctypes.byref(ctypes.c_int64(d.size)), _pointer(d), _pointer(e), ctypes.byref(info))
+        info = self.integer()
+        self.dpttrf(ctypes.byref(self.integer(d.size)), _pointer(d), _pointer(e), ctypes.byref(info))
         return d, e, info.value
 
     def bind_pttrs(self, d, e):
         dpttrs, byref, double = self.dpttrs, ctypes.byref, ctypes.c_double
-        n, info = ctypes.c_int64(), ctypes.c_int64()
+        n, info = self.integer(), self.integer()
         # N is also LDB, the leading dimension of the one-column B
-        n_ref, one_ref, info_ref = byref(n), byref(ctypes.c_int64(1)), byref(info)
+        n_ref, one_ref, info_ref = byref(n), byref(self.integer(1)), byref(info)
         d_ptr, e_ptr = _pointer(d), _pointer(e)
 
         def pttrs(b):
@@ -156,21 +149,21 @@ class OpenBLAS64Routines:
         return pttrs
 
     def gttrf(self, dl, d, du):
-        du2, ipiv, info = np.empty(d.size - 2), np.empty(d.size, np.int64), ctypes.c_int64()
+        du2, ipiv, info = np.empty(d.size - 2), np.empty(d.size, self.ipiv_dtype), self.integer()
         self.dgttrf(
-            ctypes.byref(ctypes.c_int64(d.size)),
+            ctypes.byref(self.integer(d.size)),
             *map(_pointer, (dl, d, du, du2)),
-            _pointer(ipiv, ctypes.c_int64),
+            _pointer(ipiv, self.integer),
             ctypes.byref(info),
         )
         return dl, d, du, du2, ipiv, info.value
 
     def bind_gttrs(self, dl, d, du, du2, ipiv):
         dgttrs, byref, double = self.dgttrs, ctypes.byref, ctypes.c_double
-        info = ctypes.c_int64()
-        n_ref = byref(ctypes.c_int64(d.size))
-        factors = (*map(_pointer, (dl, d, du, du2)), _pointer(ipiv, ctypes.c_int64))
-        head = (b"N", n_ref, byref(ctypes.c_int64(1)), *factors)
+        info = self.integer()
+        n_ref = byref(self.integer(d.size))
+        factors = (*map(_pointer, (dl, d, du, du2)), _pointer(ipiv, self.integer))
+        head = (b"N", n_ref, byref(self.integer(1)), *factors)
         tail = (n_ref, byref(info), 1)  # LDB = N, then TRANS's length
 
         def gttrs(b):
@@ -185,7 +178,7 @@ def _select_routines():
         getattr(numpy_config, "CONFIG", None),
         os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"),
     )
-    return OpenBLAS64Routines(path) if path else SciPyRoutines()
+    return Routines.numpy_openblas64(path) if path else Routines.scipy_flapack()
 
 
 _routines = _select_routines()
@@ -212,8 +205,9 @@ def _fresh_vector(values, name: str) -> np.ndarray:
 
 
 def _check_bands(least: int, main: np.ndarray, *offs: np.ndarray) -> None:
-    """LAPACK takes any order n >= 1, SciPy's wrappers only n >= 2 (pt) and
-    n >= 3 (gt)."""
+    """LAPACK takes any order n >= 1.  The floors n >= 2 (pt) and n >= 3 (gt)
+    came from SciPy's f2py wrappers; they stay, since no solver factors a
+    smaller system."""
     if main.size < least or any(off.size != main.size - 1 for off in offs):
         sizes = ", ".join(str(off.size) for off in offs)
         raise ValueError(

@@ -84,6 +84,7 @@ def test_moment_closed_form_for_step_drift():
     params = ChemoParams(-0.3, 1.5)
     v = advection(step_field(grid), EXP, params)
     report = moment_check(v, params)
+    assert [check.name for check in report.checks] == ["drift-moment-ratio"]  # one row
     assert report.all_passed
     assert report["drift-moment-ratio"].lhs == pytest.approx(0.5, abs=0.01)
 

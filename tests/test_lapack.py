@@ -1,23 +1,32 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack as reference
+from numpy import __config__ as numpy_config
 
 from chemofront import lapack, spectral
 from chemofront.convolve import ExpDriftOperator
-from chemofront.lapack import OpenBLAS64Routines, SciPyRoutines, gt_solver, pt_solver, pttrf
+from chemofront.lapack import Routines, gt_solver, pt_solver, pttrf
 
 ORDERS = (4, 17, 2401)
+NUMPY_OPENBLAS64 = lapack.vendored_openblas64(
+    getattr(numpy_config, "CONFIG", None),
+    os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"),
+)
 
 
 @pytest.fixture(params=["numpy-openblas64", "scipy-flapack"])
 def source(request, monkeypatch):
-    """Each source of the routines in turn, the SciPy one forced."""
+    """Each source of the routines in turn, built afresh."""
     if request.param == "scipy-flapack":
-        monkeypatch.setattr(lapack, "_routines", SciPyRoutines())
-    elif not isinstance(lapack._routines, OpenBLAS64Routines):
+        routines = Routines.scipy_flapack()
+    elif NUMPY_OPENBLAS64 is None:
         pytest.skip("numpy reports no vendored ILP64 OpenBLAS")
+    else:
+        routines = Routines.numpy_openblas64(NUMPY_OPENBLAS64)
+    monkeypatch.setattr(lapack, "_routines", routines)
     return request.param
 
 
