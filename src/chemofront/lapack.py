@@ -90,32 +90,34 @@ def _pointer(a: np.ndarray, ctype=ctypes.c_double):
         return a.ctypes.data_as(ctypes.c_void_p)
 
 
-_ARGTYPES = {  # every argument a pointer, but for dgttrs's hidden CHARACTER length
-    "dpttrf": [ctypes.c_void_p] * 4,  # N, D, E, INFO
-    "dpttrs": [ctypes.c_void_p] * 7,  # N, NRHS, D, E, B, LDB, INFO
-    "dgttrf": [ctypes.c_void_p] * 7,  # N, DL, D, DU, DU2, IPIV, INFO
-    "dgttrs": [ctypes.c_void_p] * 11 + [ctypes.c_size_t],  # TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB, INFO
-}
+# the routines' arguments, every one a pointer but for dgttrs's hidden CHARACTER length:
+# dpttrf  N, D, E, INFO
+# dpttrs  N, NRHS, D, E, B, LDB, INFO
+# dgttrf  N, DL, D, DU, DU2, IPIV, INFO
+# dgttrs  TRANS, N, NRHS, DL, D, DU, DU2, IPIV, B, LDB, INFO, len(TRANS)
+_ROUTINES = ("dpttrf", "dpttrs", "dgttrf", "dgttrs")
 
 
 class Routines:
-    """The four routines called through ctypes at their addresses, with the
-    arguments of `_ARGTYPES`; every INTEGER, ``ipiv`` included, is of the
-    source's ctypes type `integer`.  A bound solve reuses its own N and INFO,
-    so it must not run in two threads at once."""
+    """The four routines of `_ROUTINES` called through ctypes at their
+    addresses; every INTEGER, ``ipiv`` included, is of the source's ctypes
+    type `integer`.  A bound solve reuses its own N and INFO, so it must not
+    run in two threads at once."""
 
     def __init__(self, addresses: dict[str, int], integer):
         # numpy converts a ctypes type to a dtype in Python, at each call
         self.integer, self.ipiv_dtype = integer, np.dtype(integer)
-        for name, argtypes in _ARGTYPES.items():
-            setattr(self, name, ctypes.CFUNCTYPE(None, *argtypes)(addresses[name]))
+        for name in _ROUTINES:
+            # no argtypes: each argument is made here as a ctypes pointer, b"N"
+            # or a c_size_t, and argtypes would convert all again, ~0.7 us a call
+            setattr(self, name, ctypes.CFUNCTYPE(None)(addresses[name]))
 
     @classmethod
     def numpy_openblas64(cls, path: str) -> Routines:
         """The ``scipy_<routine>_64_`` symbols of numpy's ILP64 OpenBLAS at
         `path`, with int64 INTEGERs."""
         lib = ctypes.CDLL(path)  # already mapped by numpy: no second copy
-        symbols = {name: getattr(lib, f"scipy_{name}_64_") for name in _ARGTYPES}
+        symbols = {name: getattr(lib, f"scipy_{name}_64_") for name in _ROUTINES}
         return cls({name: ctypes.cast(f, ctypes.c_void_p).value for name, f in symbols.items()}, ctypes.c_int64)
 
     @classmethod
@@ -126,7 +128,7 @@ class Routines:
         # private prototypes: argtypes set on ctypes.pythonapi would be every module's
         name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
         address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
-        capsules = {routine: getattr(flapack, routine)._cpointer for routine in _ARGTYPES}
+        capsules = {routine: getattr(flapack, routine)._cpointer for routine in _ROUTINES}
         return cls({routine: address(capsule, name(capsule)) for routine, capsule in capsules.items()}, ctypes.c_int32)
 
     def pttrf(self, d, e):
@@ -164,7 +166,7 @@ class Routines:
         n_ref = byref(self.integer(d.size))
         factors = (*map(_pointer, (dl, d, du, du2)), _pointer(ipiv, self.integer))
         head = (b"N", n_ref, byref(self.integer(1)), *factors)
-        tail = (n_ref, byref(info), 1)  # LDB = N, then TRANS's length
+        tail = (n_ref, byref(info), ctypes.c_size_t(1))  # LDB = N, then TRANS's length
 
         def gttrs(b):
             dgttrs(*head, byref(double.from_buffer(b)), *tail)
@@ -173,11 +175,14 @@ class Routines:
         return gttrs
 
 
+def _numpy_openblas64() -> str | None:
+    """The path of the ILP64 OpenBLAS this process's numpy vendors, if any."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    return vendored_openblas64(getattr(numpy_config, "CONFIG", None), libs)
+
+
 def _select_routines():
-    path = vendored_openblas64(
-        getattr(numpy_config, "CONFIG", None),
-        os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"),
-    )
+    path = _numpy_openblas64()
     return Routines.numpy_openblas64(path) if path else Routines.scipy_flapack()
 
 
@@ -205,9 +210,9 @@ def _fresh_vector(values, name: str) -> np.ndarray:
 
 
 def _check_bands(least: int, main: np.ndarray, *offs: np.ndarray) -> None:
-    """LAPACK takes any order n >= 1.  The floors n >= 2 (pt) and n >= 3 (gt)
-    came from SciPy's f2py wrappers; they stay, since no solver factors a
-    smaller system."""
+    """Refuse bands of the wrong lengths or of an order under `least`.  LAPACK
+    takes any n >= 1, but `_pointer` cannot point at an empty band: pt needs
+    n >= 2 for a nonempty e, gt n >= 3 for a nonempty du2 (n - 2 entries)."""
     if main.size < least or any(off.size != main.size - 1 for off in offs):
         sizes = ", ".join(str(off.size) for off in offs)
         raise ValueError(

@@ -1,20 +1,15 @@
 import itertools
-import os
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack as reference
-from numpy import __config__ as numpy_config
 
 from chemofront import lapack, spectral
 from chemofront.convolve import ExpDriftOperator
 from chemofront.lapack import Routines, gt_solver, pt_solver, pttrf
 
 ORDERS = (4, 17, 2401)
-NUMPY_OPENBLAS64 = lapack.vendored_openblas64(
-    getattr(numpy_config, "CONFIG", None),
-    os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"),
-)
+NUMPY_OPENBLAS64 = lapack._numpy_openblas64()
 
 
 @pytest.fixture(params=["numpy-openblas64", "scipy-flapack"])
