@@ -33,8 +33,8 @@ from .evolver import (
 )
 from .grids import Field, Grid1D
 from .kernels import ChemoParams, parse_kernel, validate_kernel
-from .scan import FAILURE_FLAGS, ScanConfig, run_scan, sandwich_table, write_scan_csv
-from .slab import SlabConfig, SlabSolution, fixed_point
+from .scan import FAILURE_FLAGS, ScanConfig, bounds_flags, run_scan, sandwich_table, write_scan_csv
+from .slab import SlabConfig, SlabSolution, fixed_point, slab_bounds_check
 from .spectral import assemble_potential, check_test_speed, principal_eigenpair, slab_drift
 
 EXIT_OK = 0
@@ -246,6 +246,7 @@ def _slab_wave(args) -> SlabSolution:
 def _cmd_slab(args) -> int:
     sol = _slab_wave(args)
     v, vx = slab_drift(sol)
+    bounds = slab_bounds_check(sol) if sol.converged else None
     path = _out_path("slab.csv", args.out)
     write_profile(
         sol.u,
@@ -260,10 +261,15 @@ def _cmd_slab(args) -> int:
             "iterations": sol.iterations,
             "converged": sol.converged,
             "tau_path": sol.tau_path,
+            "bounds": None if bounds is None else bounds.to_dict(),
         },
     )
     print(f"slab: c = {sol.c:.6f} (residual {sol.residual:.2e}) -> {path}")
-    return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
+    if bounds is None:
+        return EXIT_NO_CONVERGENCE
+    for flag in bounds_flags(bounds):  # as the scan flags the same wave
+        print(flag, file=sys.stderr)
+    return EXIT_OK if bounds.all_passed else EXIT_CHECK_FAILED
 
 
 def _cmd_eigen(args) -> int:

@@ -233,7 +233,8 @@ def evolve(config: EvolveConfig) -> Trajectory:
     travels between records.  Behind lo the profile is held at the left
     extension, and beyond hi it stays 0.  A run factors the diffusion
     matrix once and allocates one buffer set; each range solves on its
-    leading block and works in views of those buffers.  Each stepped size
+    leading block, in place in the profile, and works in views of those
+    buffers.  Each stepped size
     gets its own drift operator, built for the run rather than kept in
     ``drift_operator``'s shared cache.
     """
@@ -282,36 +283,35 @@ def evolve(config: EvolveConfig) -> Trajectory:
         return traj
 
     solve = _diffusion_solver(n, a)
-    run_rhs, run_flux, run_div = np.empty(n), np.empty(n - 1), np.empty(n - 2)
+    run_inc, run_flux, run_div = np.empty(n), np.empty(n - 1), np.empty(n - 2)
     size = 0
     for step in range(1, n_steps + 1):
         if hi - lo != size:
             size = hi - lo
             # every step on this range works in views of the run's buffers
-            rhs, flux, div = run_rhs[:size], run_flux[: size - 1], run_div[: size - 2]
+            inc, flux, div = run_inc[:size], run_flux[: size - 1], run_div[: size - 2]
             if chi != 0.0:
                 # built for this run, not cached: a front-following end gives many sizes
                 drift = drift_operator.__wrapped__(config.spec, sigma, dx, size)
         active = values[lo:hi]
-        np.subtract(1.0, active, out=rhs)
-        rhs *= active  # the reaction u(1 - u)
+        np.subtract(1.0, active, out=inc)
+        inc *= active  # the reaction u(1 - u)
         if chi != 0.0:
             # right is 0 whenever hi stops short of node n - 1
             v = drift.advection(active, left, right, chi)
-            rhs[1:-1] -= _advective_divergence(active, v, dx, flux, div)
-        rhs *= dt
-        rhs += active
-        rhs[0] = left
-        rhs[-1] = right
-        new = solve(rhs)
-        if new.min() < 0.0:
-            negative = new < 0.0
-            traj.clipped_mass += float(-new[negative].sum()) * dx
-            new[negative] = 0.0
-        active[:] = new
-        if new.max() > 10.0 * bound:
+            inc[1:-1] -= _advective_divergence(active, v, dx, flux, div)
+        inc *= dt
+        active += inc  # the explicit part; the diffusion solve then overwrites the profile
+        active[0] = left
+        active[-1] = right
+        solve(active)
+        if active.min() < 0.0:
+            negative = active < 0.0
+            traj.clipped_mass += float(-active[negative].sum()) * dx
+            active[negative] = 0.0
+        if active.max() > 10.0 * bound:
             raise BlowUpError(
-                f"max u = {new.max():.3g} exceeds 10x the a-priori bound {bound:.3g}"
+                f"max u = {active.max():.3g} exceeds 10x the a-priori bound {bound:.3g}"
             )
         if step % snap_stride == 0 or step == n_steps:
             traj.stepped = (lo, hi)
@@ -343,7 +343,7 @@ def measure_speed(
     t_start = t_end - window_fraction * (t_end - times[0])
     mask = times >= t_start
     if mask.sum() < FIT_MIN_RECORDS:
-        raise ValueError(f"fewer than {FIT_MIN_RECORDS} snapshots in the fit window")
+        raise ValueError(f"fewer than {FIT_MIN_RECORDS} records in the fit window")
     t_fit, x_fit = times[mask], positions[mask]
     coeffs, cov = np.polyfit(t_fit, x_fit, 1, cov=True)
     return SpeedEstimate(

@@ -151,28 +151,22 @@ class Routines:
         return pttrs
 
     def gttrf(self, dl, d, du):
-        du2, ipiv, info = np.empty(d.size - 2), np.empty(d.size, self.ipiv_dtype), self.integer()
-        self.dgttrf(
-            ctypes.byref(self.integer(d.size)),
-            *map(_pointer, (dl, d, du, du2)),
-            _pointer(ipiv, self.integer),
-            ctypes.byref(info),
-        )
-        return dl, d, du, du2, ipiv, info.value
-
-    def bind_gttrs(self, dl, d, du, du2, ipiv):
+        """Factor (dl, d, du) in place; returns du2, ipiv, the status and the
+        gttrs solve bound to the same pointers, which overwrites its
+        right-hand side and returns its status."""
         dgttrs, byref, double = self.dgttrs, ctypes.byref, ctypes.c_double
-        info = self.integer()
-        n_ref = byref(self.integer(d.size))
+        du2, ipiv, info = np.empty(d.size - 2), np.empty(d.size, self.ipiv_dtype), self.integer()
+        n_ref, info_ref = byref(self.integer(d.size)), byref(info)
         factors = (*map(_pointer, (dl, d, du, du2)), _pointer(ipiv, self.integer))
+        self.dgttrf(n_ref, *factors, info_ref)
         head = (b"N", n_ref, byref(self.integer(1)), *factors)
-        tail = (n_ref, byref(info), ctypes.c_size_t(1))  # LDB = N, then TRANS's length
+        tail = (n_ref, info_ref, ctypes.c_size_t(1))  # LDB = N, then TRANS's length
 
         def gttrs(b):
             dgttrs(*head, byref(double.from_buffer(b)), *tail)
             return info.value
 
-        return gttrs
+        return du2, ipiv, info.value, gttrs
 
 
 def _numpy_openblas64() -> str | None:
@@ -266,10 +260,10 @@ def gt_solver(lower, main, upper):
     LinAlgError if the matrix is singular."""
     dl, d, du = (_fresh_vector(band, name) for band, name in ((lower, "lower"), (main, "main"), (upper, "upper")))
     _check_bands(3, d, dl, du)
-    *factors, info = _routines.gttrf(dl, d, du)
+    *_, info, gttrs = _routines.gttrf(dl, d, du)
     if info != 0:
         raise _status_error("dgttrf", info)
-    n, gttrs = d.size, _routines.bind_gttrs(*factors)
+    n = d.size
 
     def solve(b) -> np.ndarray:
         x = _fresh_vector(b, "a gttrs right-hand side")

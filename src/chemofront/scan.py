@@ -20,6 +20,7 @@ import numpy as np
 from .evolver import EvolveConfig, evolve, measure_speed, speed_upper_bound
 from .grids import Grid1D
 from .kernels import ChemoParams, KernelSpec
+from .reports import BoundsReport
 from .slab import SlabConfig, fixed_point, slab_bounds_check
 from .spectral import slow_predicate, slow_regime_certificate
 
@@ -32,6 +33,11 @@ EVOLVE_T_MAX = 150.0  # longest time-dependent run of an evolve cell
 
 # flags that fail a scan even when the cell still has a speed
 FAILURE_FLAGS = ("slab-not-converged", "slab-bounds-failed", "certificate-failed", "evolve-error")
+
+
+def bounds_flags(report: BoundsReport) -> list[str]:
+    """The flag of each failed row of a `slab_bounds_check` report."""
+    return [f"slab-bounds-failed: {check.name}" for check in report.failures()]
 
 
 @dataclass(frozen=True)
@@ -151,8 +157,7 @@ def _run_cell(args: tuple) -> RegimeRecord:
             )
             if sol.converged:
                 record.c_slab = sol.c
-                for check in slab_bounds_check(sol).failures():
-                    record.flags.append(f"slab-bounds-failed: {check.name}")
+                record.flags += bounds_flags(slab_bounds_check(sol))
                 cert = slow_regime_certificate(sol)
                 if cert.applicable:
                     record.lambda_cert = cert.entries[0]["lambda"]

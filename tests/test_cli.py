@@ -55,6 +55,10 @@ def test_profile_round_trip_is_bitwise(tmp_path):
     assert meta["command"] == "test"
     assert set(meta["versions"]) == {"chemofront", "numpy", "scipy", "python"}
     assert meta["versions"]["python"] == platform.python_version()
+    coarse = Field(Grid1D.from_spacing(-20.0, 20.0, 0.2), np.zeros(201))
+    with pytest.raises(ValueError, match="profile fields must share a grid"):
+        write_profile(u, v, coarse, tmp_path / "mixed.csv", {"command": "test"})
+    assert not (tmp_path / "mixed.csv").exists()
 
 
 def test_slab_command_end_to_end(out_dir):
@@ -76,6 +80,7 @@ def test_slab_command_end_to_end(out_dir):
     meta = json.loads((out_dir / "wave.csv.meta.json").read_text())
     assert meta["converged"]
     assert 1.9 < meta["c"] < 2.1
+    assert meta["bounds"]["all_passed"]
     u, v, vx = read_profile(str(out_dir / "wave.csv"))
     assert u.values[0] == 1.0
     assert u.values[-1] == 0.0
@@ -112,9 +117,24 @@ def test_unconverged_slab_solve_exits_three(out_dir, capped_slab_newton):
     assert run(["slab", "--out", "wave.csv"]) == EXIT_NO_CONVERGENCE
     meta = json.loads((out_dir / "wave.csv.meta.json").read_text())
     assert not meta["converged"] and meta["residual"] > 1e-10
+    assert meta["bounds"] is None  # the shape rows judge a converged wave only
 
 
-def test_slab_too_long_for_a_positive_wave_exits_three_with_strict_json(out_dir):
+def test_slab_wave_failing_a_shape_row_exits_one(out_dir, capsys):
+    # a strongly repulsive wave on a slab short against its kernel: it
+    # converges, but its mean over [-a, -a + 5] is 0.052 below the left limit
+    # 1, and the scan flags the same wave
+    assert run(["slab", "--chi", "-20", "--sigma", "100"]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().err.splitlines() == ["slab-bounds-failed: left-plateau"]
+    meta = json.loads((out_dir / "slab.csv.meta.json").read_text())
+    assert meta["converged"] and abs(meta["c"] - 11.160946) < 1e-6
+    rows = {row["name"]: row for row in meta["bounds"]["checks"]}
+    assert [name for name, row in rows.items() if not row["pass"]] == ["left-plateau"]
+    assert rows["left-plateau"]["lhs"] > 0.05 == rows["left-plateau"]["slack"]
+    assert not meta["bounds"]["all_passed"]
+
+
+def test_slab_too_long_for_a_positive_wave_exits_three_with_strict_json(out_dir, capsys):
     # the slab root's tail underflows to 0, so it is flagged; the solve stays
     # finite (no overflow warning, an error under this suite's settings), so
     # the sidecar is strict JSON
@@ -126,18 +146,31 @@ def test_slab_too_long_for_a_positive_wave_exits_three_with_strict_json(out_dir)
     meta = json.loads((out_dir / "slab.csv.meta.json").read_text(), parse_constant=refuse)
     assert not meta["converged"] and meta["residual"] < 1e-10
     assert abs(meta["c"] - 1.936486) < 1e-6
+    # eigen solves the same slab and writes nothing for it
+    capsys.readouterr()
+    assert run(["eigen", "--a", "800", "--dx", "0.5", "--sigma", "4"]) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == "slab solve did not converge\n"
+    assert not (out_dir / "eigen.csv").exists()
 
 
 def test_singular_tridiagonal_system_exits_three(monkeypatch, capsys):
     # np.linalg.LinAlgError subclasses ValueError, which alone would read as exit 2
     gttrf = lapack._routines.gttrf
-    monkeypatch.setattr(lapack._routines, "gttrf", lambda *bands: (*gttrf(*bands)[:-1], 1))
+
+    def singular(*bands):
+        du2, ipiv, _, gttrs = gttrf(*bands)
+        return du2, ipiv, 1, gttrs
+
+    monkeypatch.setattr(lapack._routines, "gttrf", singular)
     assert run(["slab", "--chi", "-0.05", "--a", "40"]) == EXIT_NO_CONVERGENCE
     assert "singular tridiagonal system" in capsys.readouterr().err
 
 
 def test_evolve_blow_up_exits_three(monkeypatch, capsys):
-    monkeypatch.setattr(evolver, "_diffusion_solver", lambda grid, dt: lambda rhs: 1e3 * rhs)
+    def blow_up(rhs):  # a step solves in place, in the profile
+        return np.multiply(rhs, 1e3, out=rhs)
+
+    monkeypatch.setattr(evolver, "_diffusion_solver", lambda grid, dt: blow_up)
     argv = ["evolve", "--xmin", "-20", "--xmax", "100", "--dx", "0.2", "--dt", "0.01", "--tmax", "10"]
     assert run(argv) == EXIT_NO_CONVERGENCE
     assert "exceeds 10x the a-priori bound" in capsys.readouterr().err
@@ -255,13 +288,32 @@ def test_check_command_end_to_end(out_dir):
     assert "mu" in report["decay"]
 
 
-def test_invalid_parameters_exit_two():
+def test_check_on_an_evolve_profile_writes_the_decay_fit_error(out_dir):
+    # ahead of the stepped range an evolve profile is exactly 0, so the decay
+    # window (from the grid's midpoint, x = 140) has no logarithm; the report
+    # says so, and the other checks still judge the profile
+    argv = ["evolve", "--xmin", "-20", "--xmax", "300", "--dx", "0.2", "--dt", "0.01", "--tmax", "10"]
+    assert run(argv) == EXIT_OK
+    assert run(["check", "--input", "evolve.csv", "--chi", "0", "--sigma", "1"]) == EXIT_OK
+    report = json.loads((out_dir / "check.json").read_text())
+    assert report["decay"] == {"error": "profile not positive on the decay window"}
+    assert report["monotonicity"]["all_passed"]
+
+
+def test_invalid_parameters_exit_two(tmp_path, capsys):
     # chi = 0.6 violates the standing assumption
     assert run(["slab", "--chi", "0.6"]) == EXIT_CONFIG
     # unknown kernel family
     assert run(["slab", "--kernel", "gauss"]) == EXIT_CONFIG
     # missing input file
     assert run(["check", "--input", "/nonexistent.csv", "--chi", "0", "--sigma", "1"]) == EXIT_CONFIG
+    # a profile whose nodes are not evenly spaced
+    x, uneven = np.linspace(0.0, 1.0, 30) ** 2, tmp_path / "uneven.csv"
+    np.savetxt(uneven, np.column_stack([x, 1.0 - x, 0 * x, 0 * x]), delimiter=",", header="x,u,v,v_x",
+               comments="")
+    capsys.readouterr()
+    assert run(["check", "--input", str(uneven), "--chi", "0", "--sigma", "1"]) == EXIT_CONFIG
+    assert "profile grid is not uniform" in capsys.readouterr().err
 
 
 def test_non_finite_parameters_exit_two(out_dir, capsys, monkeypatch):

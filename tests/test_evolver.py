@@ -132,6 +132,8 @@ def test_measure_speed_error_paths():
     assert measure_speed(tracked, 0.5).c == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError, match="not tracked"):
         measure_speed(tracked, 0.4)  # only the tracked level was recorded
+    with pytest.raises(ValueError, match="fewer than 5 records in the fit window"):
+        measure_speed(Trajectory(snapshots=[], front_positions=track[:6]))  # 3 in its last 40 %
 
 
 def test_speed_from_integral_sigmoid():

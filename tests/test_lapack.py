@@ -61,9 +61,10 @@ def test_gt_routines_match_scipys_bitwise(source, n):
     bands = general_bands(rng, n)
     *factors_ref, info = reference.dgttrf(*bands)
     assert info == 0
-    *factors, info = lapack._routines.gttrf(*(band.copy() for band in bands))
+    dl, d, du = (band.copy() for band in bands)
+    du2, ipiv, info, _ = lapack._routines.gttrf(dl, d, du)
     assert info == 0
-    for ours, ref in zip(factors, factors_ref):
+    for ours, ref in zip((dl, d, du, du2, ipiv), factors_ref):
         assert np.array_equal(ours, ref)  # ipiv compares by value across integer widths
     solve = gt_solver(*bands)
     for _ in range(3):
@@ -156,7 +157,8 @@ def test_exp_drift_operator_raises_on_a_failed_pttrs(source, monkeypatch, call):
 
 
 def test_gt_solve_raises_on_a_failed_gttrs(source, monkeypatch):
-    monkeypatch.setattr(lapack._routines, "bind_gttrs", lambda *factors: lambda b: -9)
+    gttrf = lapack._routines.gttrf
+    monkeypatch.setattr(lapack._routines, "gttrf", lambda *bands: (*gttrf(*bands)[:-1], lambda b: -9))
     solve = gt_solver(np.ones(2), np.full(3, 4.0), np.ones(2))
     with pytest.raises(np.linalg.LinAlgError, match=r"LAPACK dgttrs refused argument 9 \(info -9\)"):
         solve(np.ones(3))
