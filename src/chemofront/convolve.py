@@ -174,7 +174,9 @@ class ExpDriftOperator:
     On the whole line T = tridiag(-r, 1 + r^2, -r) maps S to (1 - r^2) u_ext.
     On the n nodes it is closed by M, equal to T but with 1 in both corners,
     whose LDL^T factors are known in closed form: d = (1, ..., 1, 1 - r^2),
-    e = -r.  A call is one LAPACK pttrs and no factorization.
+    e = -r.  The operator keeps them only inside its bound solve, where no
+    caller can write them.  A call is one LAPACK pttrs, in place on a
+    temporary right-hand side, and no factorization.
 
     * advection: T (R - L) = r (u_(i+1) - u_(i-1)), and beyond the grid those
       differences vanish, so eliminating the tails gives M (R - L) = r g with
@@ -195,15 +197,12 @@ class ExpDriftOperator:
         _check_resolution(dx, sigma)
         h = dx / sigma
         self.r = math.exp(-h)
-        self.d = np.ones(n)
-        self.d[-1] = -math.expm1(-2.0 * h)  # 1 - r^2
-        self.e = np.full(n - 1, -self.r)
-        for table in (self.d, self.e):
-            table.setflags(write=False)  # shared by every caller of the cache
-        self.solve = pt_solver(self.d, self.e)
+        d = np.ones(n)
+        d[-1] = -math.expm1(-2.0 * h)  # 1 - r^2
+        self.solve = pt_solver(d, np.full(n - 1, -self.r))  # holds the only references to d and e
         self.pad = self.r / -math.expm1(-h)  # r / (1 - r)
         self.advection_scale = math.sinh(0.5 * h) * self.r
-        self.sum_scale = math.sinh(0.5 * h) * self.d[-1] / sigma
+        self.sum_scale = math.sinh(0.5 * h) * d[-1] / sigma
         self.node_scale = -math.cosh(0.5 * h) / sigma
 
     def advection(self, values: np.ndarray, left_ext: float, right_ext: float, chi: float) -> np.ndarray:

@@ -2,15 +2,21 @@
 positive definite matrices, gttrf/gttrs for general ones.
 
 * :func:`pttrf` factors (d, e) and returns the factors;
-* :func:`pt_solver` binds factors and returns a solve that overwrites its
-  right-hand side, on the whole matrix or any leading block of it;
+* :func:`pt_solver` binds factors and returns a solve on the whole matrix or
+  any leading block of it;
 * :func:`gt_solver` factors a general tridiagonal matrix once and returns a
-  solve that leaves its right-hand side alone.
+  solve on the whole matrix.
+
+Every solve has one contract: it overwrites its right-hand side with the
+solution and returns it, so a caller whose right-hand side is still needed
+passes a copy.  Both solves are the one :func:`_in_place_solve`, so both
+check their right-hand side alike.
 
 Each factorization binds its arrays once, so a solve passes LAPACK only its
-right-hand side.  Every call checks dtype, contiguity, writability and
-lengths before LAPACK sees an array, and raises ``LinAlgError`` on a nonzero
-LAPACK status.
+right-hand side.  Every array LAPACK sees is writable and bound through
+``ctypes.from_buffer``.  Every call checks dtype, contiguity, writability
+and lengths before LAPACK sees an array, and raises ``LinAlgError`` on a
+nonzero LAPACK status.
 
 The routines are called through ctypes at their addresses by one binding,
 :class:`Routines`; only where the addresses come from, and the width of the
@@ -82,12 +88,9 @@ def vendored_openblas64(config: dict | None, libs: str) -> str | None:
 
 
 def _pointer(a: np.ndarray, ctype=ctypes.c_double):
-    """A pointer to `a`'s data that holds a reference to `a`.  ``from_buffer``
-    costs a quarter of ``a.ctypes``, but refuses a read-only array."""
-    try:
-        return ctypes.byref(ctype.from_buffer(a))
-    except TypeError:
-        return a.ctypes.data_as(ctypes.c_void_p)
+    """A pointer to the writable array `a`'s data that holds a reference to
+    `a`; ``from_buffer`` costs a quarter of ``a.ctypes``."""
+    return ctypes.byref(ctype.from_buffer(a))
 
 
 # the routines' arguments, every one a pointer but for dgttrs's hidden CHARACTER length:
@@ -215,6 +218,26 @@ def _check_bands(least: int, main: np.ndarray, *offs: np.ndarray) -> None:
         )
 
 
+def _in_place_solve(routine: str, solve_bound, least: int, n: int):
+    """`solve_bound`, a bound LAPACK `routine` that solves in place and
+    returns its status, as a solve of the one contract: it takes a writable
+    C-contiguous float64 right-hand side of `least` to `n` entries, checked
+    before LAPACK sees it, overwrites it with the solution and returns it."""
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        if b.dtype != _F64 or b.ndim != 1 or not b.flags.carray or not least <= b.size <= n:
+            raise ValueError(
+                f"a {routine} right-hand side is a writable C-contiguous float64 vector of {least} to {n} "
+                f"entries, not {b.dtype} of shape {b.shape} (writable {b.flags.writeable}, C-contiguous "
+                f"{b.flags.c_contiguous})"
+            )
+        if (info := solve_bound(b)) != 0:
+            raise _status_error(f"d{routine}", info)
+        return b
+
+    return solve
+
+
 def pttrf(d, e) -> tuple[np.ndarray, np.ndarray]:
     """The L D L^T factors of the symmetric positive definite tridiagonal
     matrix with diagonal `d` and off-diagonal `e`, as new arrays (LAPACK
@@ -234,43 +257,21 @@ def pt_solver(d: np.ndarray, e: np.ndarray):
     with the leading k x k block in place and returns it."""
     if d.dtype != _F64 or e.dtype != _F64 or d.ndim != 1 or e.ndim != 1:
         raise ValueError(f"factors are float64 vectors, not {d.dtype} {d.shape} and {e.dtype} {e.shape}")
-    if not (d.flags.c_contiguous and e.flags.c_contiguous):
-        raise ValueError("factors must be C-contiguous")
+    if not (d.flags.carray and e.flags.carray):
+        raise ValueError("factors must be C-contiguous and writable")
     _check_bands(2, d, e)
-    n, pttrs = d.size, _routines.bind_pttrs(d, e)
-
-    def solve(b: np.ndarray) -> np.ndarray:
-        if b.dtype != _F64 or b.ndim != 1 or not b.flags.carray or not 2 <= b.size <= n:
-            raise ValueError(
-                f"a pttrs right-hand side is a writable C-contiguous float64 vector of 2 to {n} entries, "
-                f"not {b.dtype} of shape {b.shape} (writable {b.flags.writeable}, C-contiguous "
-                f"{b.flags.c_contiguous})"
-            )
-        if (info := pttrs(b)) != 0:
-            raise _status_error("dpttrs", info)
-        return b
-
-    return solve
+    return _in_place_solve("pttrs", _routines.bind_pttrs(d, e), 2, d.size)
 
 
 def gt_solver(lower, main, upper):
     """Factor the tridiagonal matrix with sub-, main and super-diagonals
     `lower`, `main`, `upper` once (LAPACK gttrf, partial pivoting); returns
-    a solve that returns the solution as a new array (LAPACK gttrs).  Raises
-    LinAlgError if the matrix is singular."""
+    a solve that takes a float64 right-hand side of n entries, overwrites it
+    with the solution and returns it (LAPACK gttrs).  Raises LinAlgError if
+    the matrix is singular."""
     dl, d, du = (_fresh_vector(band, name) for band, name in ((lower, "lower"), (main, "main"), (upper, "upper")))
     _check_bands(3, d, dl, du)
     *_, info, gttrs = _routines.gttrf(dl, d, du)
     if info != 0:
         raise _status_error("dgttrf", info)
-    n = d.size
-
-    def solve(b) -> np.ndarray:
-        x = _fresh_vector(b, "a gttrs right-hand side")
-        if x.size != n:
-            raise ValueError(f"a gttrs right-hand side has {n} entries, not {x.size}")
-        if (info := gttrs(x)) != 0:
-            raise _status_error("dgttrs", info)
-        return x
-
-    return solve
+    return _in_place_solve("gttrs", gttrs, d.size, d.size)

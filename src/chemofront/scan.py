@@ -158,14 +158,18 @@ def _run_cell(args: tuple) -> RegimeRecord:
             if sol.converged:
                 record.c_slab = sol.c
                 record.flags += bounds_flags(slab_bounds_check(sol))
-                cert = slow_regime_certificate(sol)
-                if cert.applicable:
-                    record.lambda_cert = cert.entries[0]["lambda"]
-                    if not cert.passed:
-                        record.flags.append("certificate-failed")
+                try:
+                    cert = slow_regime_certificate(sol)
+                except ValueError as exc:  # LinAlgError is one
+                    record.flags.append(f"certificate-failed: {exc}")
+                else:
+                    if cert.applicable:
+                        record.lambda_cert = cert.entries[0]["lambda"]
+                        if not cert.passed:
+                            record.flags.append("certificate-failed")
             else:
                 record.flags.append("slab-not-converged")
-        except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+        except (ValueError, RuntimeError) as exc:
             record.flags.append(f"slab-error: {exc}")
 
     if config.mode in ("evolve", "both"):

@@ -236,14 +236,14 @@ def _newton(
             break
 
         def bordered_solve(r: np.ndarray) -> np.ndarray:
-            r1 = solve(r[:-1])
+            r1 = solve(r[:-1])  # in place, over all of r but its pin row
             dc = (r1[pin] - r[-1]) / r2[pin]
             return np.append(r1 - dc * r2, dc)
 
         if drift is not None:
 
             def preconditioned_jacobian(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                z = bordered_solve(y)
+                z = bordered_solve(y.copy())  # y is a Krylov direction
                 dv = drift(z[:-1], 0.0, 0.0)
                 out = y.copy()
                 out[1:-2] -= (u[2:] * dv[2:] - u[:-2] * dv[:-2]) / (2.0 * dx)

@@ -78,7 +78,9 @@ def _periodic_solver(main: np.ndarray, off: float):
     positive definite, so by Sherman-Morrison one LAPACK pttrf factorization of T
     serves every solve.  w has only two nonzero entries, so T and every product
     with w touch just the two corners.  M is positive definite exactly when T is
-    and 1 + gamma w^T T^-1 w > 0; otherwise LinAlgError is raised."""
+    and 1 + gamma w^T T^-1 w > 0; otherwise LinAlgError is raised.  Like
+    every LAPACK solve, the returned solve overwrites its right-hand side
+    with the solution and returns it."""
     gamma = -main[0]
     corner = off / gamma  # w's last entry
     t = main.copy()
@@ -94,8 +96,9 @@ def _periodic_solver(main: np.ndarray, off: float):
     z /= denominator
 
     def periodic_solve(rhs: np.ndarray) -> np.ndarray:
-        y = solve(rhs.copy())
-        return y - (y[0] + corner * y[-1]) * z
+        y = solve(rhs)
+        y -= (y[0] + corner * y[-1]) * z
+        return y
 
     return periodic_solve
 
@@ -151,11 +154,10 @@ def principal_eigenpair(V: Field, start: Field | None = None) -> EigenPair:
         shift = lam - max(residual(x, lam), 1e-8)
     solve = _periodic_solver(main - shift, off)
     for iterations in range(1, 501):
-        y = solve(x)
-        y /= np.linalg.norm(y)
-        lam = _quad_form(y, V, difference)
-        res = residual(y, lam)
-        x = y
+        x = solve(x)
+        x /= np.linalg.norm(x)
+        lam = _quad_form(x, V, difference)
+        res = residual(x, lam)
         if res < stop:
             break
         # once roughly converged, chase the eigenvalue with the shift

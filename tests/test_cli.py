@@ -469,6 +469,10 @@ def _negative_certificate(sol):
     return spectral.CertificateReport(True, "", sol.config.a, [{"lambda": -1.0, "phi0": 1.0}])
 
 
+def _raising_certificate(sol):
+    raise np.linalg.LinAlgError("inverse iteration stagnated (residual 1e-3)")
+
+
 @pytest.mark.parametrize(
     "argv, certificate, classification, flag",
     [
@@ -477,6 +481,9 @@ def _negative_certificate(sol):
          "evolve-error: dx=0.1 too coarse for sigma=0.2 (need dx <= sigma/4)"),
         # a converged slow wave whose certificate reports a negative principal eigenvalue
         (["--chis=0", "--sigmas", "1"], _negative_certificate, "slow", "certificate-failed"),
+        # a certificate whose eigensolve raises fails the scan; the cell keeps its slab speed
+        (["--chis=0", "--sigmas", "1"], _raising_certificate, "slow",
+         "certificate-failed: inverse iteration stagnated (residual 1e-3)"),
     ],
 )
 def test_scan_with_a_failure_flag_exits_one(out_dir, monkeypatch, capsys, argv, certificate,

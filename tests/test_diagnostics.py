@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -87,6 +88,8 @@ def test_moment_closed_form_for_step_drift():
     assert [check.name for check in report.checks] == ["drift-moment-ratio"]  # one row
     assert report.all_passed
     assert report["drift-moment-ratio"].lhs == pytest.approx(0.5, abs=0.01)
+    with pytest.raises(KeyError, match="drift-moment"):
+        report["drift-moment"]  # the deleted duplicate row
 
 
 def test_front_geometry_sigmoid():
@@ -168,6 +171,9 @@ def test_advection_plateau_for_narrow_step_front():
     assert geom.regime == "narrow"
     report = advection_plateau_check(u, v, geom, params, eps)
     assert report.all_passed, report.failures()
+    past_the_grid = dataclasses.replace(geom, R=(grid.x_max - geom.x2) / sigma + 1.0)
+    with pytest.raises(ValueError, match="plateau window exceeds the grid"):
+        advection_plateau_check(u, v, past_the_grid, params, eps)
 
 
 def test_advection_plateau_rejects_wrong_regime():

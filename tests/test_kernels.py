@@ -74,6 +74,8 @@ def test_origin_is_rejected():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_kbar_at_zero_is_half(spec):
     assert kbar(spec, 0.0) == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(ValueError, match=r"kbar is defined on \[0, inf\)"):
+        kbar(spec, [0.0, -1e-3])
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
@@ -97,6 +99,7 @@ def test_kbar_inverse_closed_forms():
     assert kbar_inverse(KernelSpec("exp"), 0.25) == pytest.approx(math.log(2.0), rel=1e-14)
     assert kbar_inverse(KernelSpec("tophat"), 0.25) == pytest.approx(0.5, rel=1e-14)
     assert kbar_inverse(KernelSpec("exp"), 0.5) == 0.0
+    assert kbar_inverse(KernelSpec("stretched", 0.5), 0.5) == 0.0  # no root find at the origin
 
 
 def test_kbar_inverse_domain():

@@ -69,11 +69,11 @@ def test_gt_routines_match_scipys_bitwise(source, n):
     solve = gt_solver(*bands)
     for _ in range(3):
         b = rng.standard_normal(n)
-        b_in = b.copy()
         x_ref, info = reference.dgttrs(*factors_ref, b)
         assert info == 0
-        assert np.array_equal(solve(b), x_ref)
-        assert np.array_equal(b, b_in)  # gt_solver's solve returns a new array
+        x = b.copy()
+        assert solve(x) is x
+        assert np.array_equal(x, x_ref)
 
 
 def test_factorization_failures_name_the_lapack_status(source):
@@ -83,27 +83,39 @@ def test_factorization_failures_name_the_lapack_status(source):
         gt_solver(np.zeros(2), np.array([1.0, 1.0, 0.0]), np.zeros(2))
 
 
-def test_pt_solver_checks_every_array_before_lapack(source):
-    d, e = pttrf(np.full(6, 3.0), np.full(5, -1.0))
-    solve = pt_solver(d, e)
-    read_only = np.ones(4)
+def refused_right_hand_sides(k):
+    """Right-hand sides, by name, that a solve of order k refuses; all but
+    "too long" hold k entries."""
+    read_only = np.ones(k)
     read_only.setflags(write=False)
-    refused = {
-        "integer": np.ones(4, dtype=np.int64),
-        "float32": np.ones(4, dtype=np.float32),
-        "two-dimensional": np.ones((2, 2)),
-        "strided": np.ones(8)[::2],
+    return {
+        "integer": np.ones(k, dtype=np.int64),
+        "float32": np.ones(k, dtype=np.float32),
+        "two-dimensional": np.ones((k, 1)),
+        "strided": np.ones(2 * k)[::2],
         "read-only": read_only,
-        "too long": np.ones(7),
-        "one entry": np.ones(1),
+        "too long": np.ones(k + 1),
     }
+
+
+def assert_refused_before_any_write(solve, routine, refused):
     for name, b in refused.items():
         before = b.copy()
-        with pytest.raises(ValueError, match="a pttrs right-hand side is a writable C-contiguous float64"):
+        with pytest.raises(ValueError, match=f"a {routine} right-hand side is a writable C-contiguous float64"):
             solve(b)
         assert np.array_equal(b, before), name  # refused before any write
+
+
+def test_pt_solver_checks_every_array_before_lapack(source):
+    d, e = pttrf(np.full(6, 3.0), np.full(5, -1.0))
+    refused = {**refused_right_hand_sides(6), "one entry": np.ones(1)}
+    assert_refused_before_any_write(pt_solver(d, e), "pttrs", refused)
     with pytest.raises(ValueError, match="factors must be C-contiguous"):
         pt_solver(d, np.full(10, -1.0)[::2])
+    read_only = e.copy()
+    read_only.setflags(write=False)
+    with pytest.raises(ValueError, match="factors must be C-contiguous and writable"):
+        pt_solver(d, read_only)
     with pytest.raises(ValueError, match="factors are float64 vectors, not float32"):
         pt_solver(d.astype(np.float32), e)
     with pytest.raises(ValueError, match="not order 6 with 4"):
@@ -122,10 +134,8 @@ def test_gt_solver_checks_every_array_before_lapack(source):
     with pytest.raises(ValueError, match="lower must be one-dimensional"):
         gt_solver(np.ones((2, 1)), np.full(3, 4.0), np.ones(2))
     solve = gt_solver(np.ones(2), np.full(3, 4.0), np.ones(2))
-    with pytest.raises(ValueError, match="has 3 entries, not 4"):
-        solve(np.ones(4))
-    with pytest.raises(ValueError, match="must be one-dimensional"):
-        solve(np.ones((3, 1)))
+    refused = {**refused_right_hand_sides(3), "too short": np.ones(2)}
+    assert_refused_before_any_write(solve, "gttrs", refused)
 
 
 def fail_pttrs(monkeypatch, info, after=0):

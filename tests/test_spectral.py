@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -82,6 +83,10 @@ def test_assemble_potential_rejects_slow_speeds():
     for c in (1.5, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"test speed c = {c} must be finite and at least 1.9"):
             assemble_potential(zero, c, zero, zero)
+    # and inputs on two grids, whatever the speed
+    other = constant_field(Grid1D.from_spacing(-10.0, 10.0, 0.05), 0.0)
+    with pytest.raises(ValueError, match="potential inputs must share a grid"):
+        assemble_potential(zero, 2.0, zero, other)
 
 
 def test_assemble_potential_two_forms_agree_on_slab(slab_repulsive):
@@ -127,7 +132,9 @@ def test_periodic_solver_matches_dense_solve():
             np.eye(m, k=1) + np.eye(m, k=-1) + np.eye(m, k=m - 1) + np.eye(m, k=1 - m)
         )
         rhs = rng.standard_normal(m)
-        x = _periodic_solver(main, off)(rhs)
+        b = rhs.copy()
+        x = _periodic_solver(main, off)(b)
+        assert x is b  # solved in place
         assert np.linalg.norm(A @ x - rhs) / np.linalg.norm(rhs) < 1e-12
         x_dense = np.linalg.solve(A, rhs)
         assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-12
@@ -362,6 +369,9 @@ def test_sign_changing_start_recovers_or_raises(monkeypatch):
         start = Field(grid, np.append(y, y[0]))
         with pytest.raises(ValueError, match="start eigenvector must be positive"):
             principal_eigenpair(pot, start=start)
+    # so is a positive start on another grid
+    with pytest.raises(ValueError, match="start vector and potential must share a grid"):
+        principal_eigenpair(pot, start=constant_field(Grid1D(-5.0, 5.0, 129), 1.0))
 
 
 def test_matches_dense_oracle_on_random_potentials():
@@ -416,6 +426,8 @@ def test_rayleigh_quotient_rejects_bad_inputs():
         rayleigh_quotient(Field(grid, grid.x), pot)  # not periodic
     with pytest.raises(ValueError):
         rayleigh_quotient(Field(grid, np.zeros(grid.n)), pot)
+    with pytest.raises(ValueError, match="test function and potential must share a grid"):
+        rayleigh_quotient(constant_field(Grid1D.from_spacing(-10.0, 10.0, 0.05), 1.0), pot)
 
 
 def test_variational_principle():
@@ -475,6 +487,8 @@ def test_transform_to_w(slab_neutral):
     # w solves the transformed equation up to discretization error
     assert prof.residual < 10.0 * slab_neutral.config.dx**2
     assert np.all(prof.w.values >= 0.0)
+    with pytest.raises(ValueError, match="slab solution is not converged"):
+        transform_to_w(dataclasses.replace(slab_neutral, converged=False))
 
 
 def test_certificate_passes_in_slow_regime(slab_repulsive):
