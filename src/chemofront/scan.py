@@ -3,7 +3,8 @@
 Each cell runs a slab solve and/or a time-dependent front-speed measurement,
 then is classified:
 
-* slow  — |chi|(1/sigma + sigma^2) <= 0.15 and measured c in [1.9, 2.1]
+* slow  — |chi|(1/sigma + sigma^2) <= CERTIFICATE_GATE (0.1), the slow-regime
+  certificate's own gate, and measured c in [1.9, 2.1]
 * fast  — chi < 0, min(sigma, sigma/|chi|) >= 10 and c >= 0.75 |chi|/2
 * intermediate — neither hypothesis holds (left open by the theory)
 * skipped — standing assumption violated or the cell solver failed
@@ -21,10 +22,9 @@ from .evolver import EvolveConfig, evolve, measure_speed, speed_upper_bound
 from .grids import Grid1D
 from .kernels import ChemoParams, KernelSpec
 from .reports import BoundsReport
-from .slab import SlabConfig, fixed_point, slab_bounds_check
-from .spectral import slow_predicate, slow_regime_certificate
+from .slab import SlabConfig, fixed_point, slab_bounds_check, slab_grid
+from .spectral import CERTIFICATE_GATE, slow_predicate, slow_regime_certificate
 
-SLOW_PREDICATE_GATE = 0.15
 FAST_PREDICATE_GATE = 10.0
 SLOW_SPEED_WINDOW = (1.9, 2.1)
 FAST_SPEED_FACTOR = 0.75
@@ -56,6 +56,8 @@ class ScanConfig:
             raise ValueError(f"unknown scan mode: {self.mode!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.mode in ("slab", "both"):  # one slab grid for every cell, refused before any runs
+            slab_grid(self.slab_a, self.slab_dx)
 
 
 @dataclass
@@ -68,8 +70,8 @@ class RegimeRecord:
     c_slab: float | None
     c_evolve: float | None
     lambda_cert: float | None
-    slow_pred: float
-    fast_pred: float
+    slow_pred: float | None  # None for a cell the standing assumption refuses
+    fast_pred: float | None
     classification: str
     flags: list[str] = field(default_factory=list)
 
@@ -88,7 +90,7 @@ def _classify(record: RegimeRecord) -> str:
     c = record.c
     if c is None:
         return "skipped"
-    if record.slow_pred <= SLOW_PREDICATE_GATE and SLOW_SPEED_WINDOW[0] <= c <= SLOW_SPEED_WINDOW[1]:
+    if record.slow_pred <= CERTIFICATE_GATE and SLOW_SPEED_WINDOW[0] <= c <= SLOW_SPEED_WINDOW[1]:
         return "slow"
     if (
         record.chi < 0
@@ -134,8 +136,8 @@ def _run_cell(args: tuple) -> RegimeRecord:
         c_slab=None,
         c_evolve=None,
         lambda_cert=None,
-        slow_pred=slow_predicate(chi, sigma),
-        fast_pred=fast_predicate(chi, sigma),
+        slow_pred=None,
+        fast_pred=None,
         classification="skipped",
     )
     try:
@@ -143,6 +145,7 @@ def _run_cell(args: tuple) -> RegimeRecord:
     except ValueError as exc:
         record.flags.append(f"standing-assumption: {exc}")
         return record
+    record.slow_pred, record.fast_pred = slow_predicate(chi, sigma), fast_predicate(chi, sigma)
 
     if config.mode in ("slab", "both"):
         try:
@@ -202,13 +205,14 @@ def run_scan(config: ScanConfig) -> list[RegimeRecord]:
 
 
 def sandwich_table(records: list[RegimeRecord]) -> list[dict]:
-    """Lower/upper wave-speed bounds per record with a pass flag."""
+    """Lower/upper wave-speed bounds per record with a pass flag; a record
+    with no speed has no upper bound and fails."""
     if not records:
         raise ValueError("no records")
     table = []
     for r in records:
-        upper = speed_upper_bound(r.chi, r.sigma)
         c = r.c
+        upper = None if c is None else speed_upper_bound(r.chi, r.sigma)
         table.append(
             {
                 "chi": r.chi,

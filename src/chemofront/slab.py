@@ -55,6 +55,19 @@ def theta_max(params: ChemoParams) -> float:
     return min(0.01, (1.0 - 2.0 * ratio) / (1.0 + ratio))
 
 
+def slab_grid(a: float, dx: float) -> Grid1D:
+    """The slab grid: dx-spaced nodes on [-a, a], a finite and at least 20, dx
+    positive and finite, and x = 0 a node."""
+    if not 20.0 <= a < math.inf:
+        raise ValueError(f"slab half-length a = {a} must be finite and at least 20")
+    grid = Grid1D.from_spacing(-a, a, dx)
+    try:
+        grid.index_of(0.0)
+    except ValueError:
+        raise ValueError(f"a = {a:g} is not a whole number of dx = {dx:g} steps") from None
+    return grid
+
+
 @dataclass(frozen=True)
 class SlabConfig:
     a: float
@@ -64,21 +77,15 @@ class SlabConfig:
     dx: float = 0.05
 
     def __post_init__(self):
-        if not 20.0 <= self.a < math.inf:
-            raise ValueError(f"slab half-length a = {self.a} must be finite and at least 20")
+        self.grid  # builds the grid, through slab_grid's checks
         bound = theta_max(self.params)
         if not 0.0 < self.theta < bound:
             raise ValueError(f"theta must lie in (0, {bound:g}) for these parameters")
-        grid = self.grid
-        try:
-            grid.index_of(0.0)
-        except ValueError:
-            raise ValueError(f"a = {self.a:g} is not a whole number of dx = {self.dx:g} steps") from None
 
     @cached_property
     def grid(self) -> Grid1D:
-        """The slab grid: dx-spaced nodes on [-a, a], built once per config."""
-        return Grid1D.from_spacing(-self.a, self.a, self.dx)
+        """The slab grid (`slab_grid`), built once per config."""
+        return slab_grid(self.a, self.dx)
 
 
 @dataclass

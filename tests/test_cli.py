@@ -16,6 +16,7 @@ from chemofront import cli, evolver, lapack, scan, slab, spectral
 from chemofront.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     parse_and_dispatch,
@@ -177,9 +178,28 @@ def test_evolve_blow_up_exits_three(monkeypatch, capsys):
 
 
 def test_eigen_solver_failure_exits_three(monkeypatch, capsys):
+    real = spectral._periodic_solver
     monkeypatch.setattr(spectral, "_periodic_solver", lambda main, off: lambda rhs: rhs.copy())
     assert run(["eigen", "--a", "20"]) == EXIT_NO_CONVERGENCE
     assert "inverse iteration stagnated" in capsys.readouterr().err
+
+    # an iteration that converges to the negated ground state
+    def negated(main, off):
+        solve = real(main, off)
+        return lambda rhs: -np.abs(solve(rhs))
+
+    monkeypatch.setattr(spectral, "_periodic_solver", negated)
+    assert run(["eigen", "--a", "20"]) == EXIT_NO_CONVERGENCE
+    assert "principal eigenvector changed sign" in capsys.readouterr().err
+
+
+def test_unexpected_error_exits_four(monkeypatch, capsys):
+    def divide(args):
+        return 1.0 / 0.0
+
+    monkeypatch.setitem(cli._DISPATCH, "slab", divide)
+    assert run(["slab"]) == EXIT_INTERNAL
+    assert "internal error: ZeroDivisionError: float division by zero" in capsys.readouterr().err
 
 
 def test_evolve_margin_abort_exits_three(out_dir, capsys):
@@ -322,6 +342,7 @@ def test_non_finite_parameters_exit_two(out_dir, capsys, monkeypatch):
 
     monkeypatch.setattr(slab, "_newton", refuse)
     monkeypatch.setattr(cli, "evolve", refuse)
+    monkeypatch.setattr(scan, "evolve", refuse)
     # --sigma inf and --dx 0 used to end in an internal ZeroDivisionError (exit
     # 4), --a inf, --xmax inf and --dx 1e-320 in an OverflowError; --dx nan
     # and --dt nan exited 2 on a message that named no field
@@ -336,6 +357,9 @@ def test_non_finite_parameters_exit_two(out_dir, capsys, monkeypatch):
         (["slab", "--a", "inf"], "slab half-length a = inf must be finite"),
         (["slab", "--dx", "1e-320"], "grid spacing dx = 1e-320 gives a non-finite step count"),
         (["evolve", "--dx", "0", "--tmax", "1"], dx_zero),
+        # a scan's slab grid is every cell's, so the scan refuses it before any cell runs
+        (["scan", "--chis=0", "--sigmas", "1", "--dx", "0"], dx_zero),
+        (["scan", "--chis=0", "--sigmas", "1", "--dx", "0", "--mode", "both"], dx_zero),
         (["evolve", "--dt", "nan"], "dt=nan outside stability budget"),
         (["evolve", "--tmax", "inf"], "t_max = inf must be positive and finite"),
         (["evolve", "--snapshot-every", "nan"], "snapshot_every = nan must be positive and finite"),
@@ -354,9 +378,7 @@ def test_non_finite_parameters_exit_two(out_dir, capsys, monkeypatch):
     for argv, message in cases:
         assert run(argv) == EXIT_CONFIG
         assert message in capsys.readouterr().err
-    # a scan builds each cell's slab: the refusal is the cell's flag, and the scan fails
-    assert run(["scan", "--chis=0", "--sigmas", "1", "--dx", "0"]) == EXIT_CHECK_FAILED
-    assert f"slab-error: {dx_zero}" in (out_dir / "scan.csv").read_text()
+    assert list(out_dir.iterdir()) == []
 
 
 def test_evolve_whose_records_cannot_fill_the_fit_window_exits_two(out_dir, capsys, monkeypatch):
@@ -373,6 +395,15 @@ def test_evolve_whose_records_cannot_fill_the_fit_window_exits_two(out_dir, caps
     monkeypatch.setattr(cli, "evolve", evolver.evolve)
     argv = ["evolve", "--xmin", "-20", "--xmax", "100", "--dx", "0.2", "--dt", "0.01", "--tmax", "10"]
     assert run(argv) == EXIT_OK  # 5 records in the window
+
+    # a speed fit that fails on a run that did not abort is not excused as an abort is
+    def no_fit(traj):
+        raise ValueError("no speed in the fit window")
+
+    monkeypatch.setattr(cli, "measure_speed", no_fit)
+    capsys.readouterr()
+    assert run(argv) == EXIT_CONFIG
+    assert "invalid configuration: no speed in the fit window" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -448,11 +479,16 @@ def test_check_failure_exits_one(out_dir, capsys):
 
 
 def test_scan_with_skipped_cell_exits_one(out_dir):
-    # chi = 0.6 violates the standing assumption, so the cell is skipped
-    code = run(["scan", "--chis", "0.6", "--sigmas", "1", "--out", "scan.csv"])
-    assert code == EXIT_CHECK_FAILED
-    row = (out_dir / "scan.csv").read_text().splitlines()[1].split(",")
-    assert row[10] == "skipped"
+    # each cell violates the standing assumption, so it is skipped; the
+    # predicates, which divide by sigma, wait for the model to accept the cell
+    for chi, sigma, message in [("0.6", "1", "standing assumption violated"), ("0", "0", "sigma must be positive")]:
+        code = run(["scan", f"--chis={chi}", "--sigmas", sigma, "--out", "scan.csv"])
+        assert code == EXIT_CHECK_FAILED
+        with open(out_dir / "scan.csv", newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert row["classification"] == "skipped"
+        assert row["flags"].startswith(f"standing-assumption: {message}")
+        assert row["slow_pred"] == row["fast_pred"] == ""
 
 
 def test_scan_with_failed_slab_solve_exits_one(out_dir, capsys, capped_slab_newton):

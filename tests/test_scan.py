@@ -50,9 +50,13 @@ def test_predicates():
 
 
 def test_classification_rules():
+    # the slow label's gate is the certificate's: |chi|(1/sigma + sigma^2) <= 0.1
     assert make_record().classification == "slow"
-    # example cells from the two hypotheses
-    assert make_record(chi=-0.05, sigma=0.5, slow_pred=slow_predicate(-0.05, 0.5)).classification == "slow"
+    # predicates above that gate give no label from the slow hypothesis: 0.1125 here
+    assert make_record(chi=-0.05, sigma=0.5, slow_pred=slow_predicate(-0.05, 0.5)).classification == "intermediate"
+    for chi in (-0.07, -0.06, 0.06, 0.07):  # predicates 0.14 and 0.12 at sigma = 1
+        assert make_record(chi=chi, slow_pred=slow_predicate(chi, 1.0)).classification == "intermediate"
+    # example cell from the fast hypothesis
     fast = make_record(
         chi=-10.0,
         sigma=200.0,
@@ -79,6 +83,16 @@ def test_config_validation():
         ScanConfig((0.0,), (1.0,), EXP, mode="other")
     with pytest.raises(ValueError):
         ScanConfig((0.0,), (1.0,), EXP, workers=0)
+    # a slab grid is refused before any cell runs, by the checks `SlabConfig` makes
+    for mode in ("slab", "both"):
+        with pytest.raises(ValueError, match="dx = 0.0 must be positive and finite"):
+            ScanConfig((0.0,), (1.0,), EXP, mode=mode, slab_dx=0.0)
+        with pytest.raises(ValueError, match="half-length a = 10.0 must be finite and at least 20"):
+            ScanConfig((0.0,), (1.0,), EXP, mode=mode, slab_a=10.0)
+        with pytest.raises(ValueError, match=r"a = 60\.03 is not a whole number of dx = 0\.05 steps"):
+            ScanConfig((0.0,), (1.0,), EXP, mode=mode, slab_a=60.03)
+    # an evolve scan solves no slab, so it reads neither flag
+    ScanConfig((0.0,), (1.0,), EXP, mode="evolve", slab_a=10.0, slab_dx=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -159,11 +173,14 @@ def test_sandwich_table(small_scan):
         expected_upper = 2.0 * np.sqrt(1.0 + abs(row["chi"]) / row["sigma"]) + abs(row["chi"]) / 2.0
         assert row["upper"] == pytest.approx(expected_upper)
         assert row["lower"] == 2.0
-    # the closed-form upper bound at chi = -10, sigma = 10
-    rec = make_record(chi=-10.0, sigma=10.0, c_slab=None, c_evolve=None)
+    # the closed-form upper bound at chi = -10, sigma = 10, which c = 8 exceeds
+    rec = make_record(chi=-10.0, sigma=10.0, c_slab=8.0)
     row = sandwich_table([rec])[0]
     assert row["upper"] == pytest.approx(2.0 * np.sqrt(2.0) + 5.0)
     assert not row["passed"]
+    # a record with no speed gets no bound (its sigma may be one the model refuses)
+    row = sandwich_table([make_record(sigma=0.0, c_slab=None, slow_pred=None, fast_pred=None)])[0]
+    assert row["upper"] is None and not row["passed"]
     with pytest.raises(ValueError):
         sandwich_table([])
 

@@ -509,6 +509,20 @@ def test_non_finite_trial_ends_the_solve_at_the_last_finite_iterate(monkeypatch,
     assert math.isfinite(residual)
 
 
+def test_zero_pin_entry_of_the_bordered_solve_ends_the_solve(monkeypatch):
+    # the border's pivot is dF/dc's solve at the pin: at 0 the bordered system
+    # is singular, and the solve stops before taking a step
+    monkeypatch.setattr(slab, "gt_solver", lambda lower, main, upper: np.zeros_like)
+    config = SlabConfig(a=20.0, params=ChemoParams(0.0, 1.0), spec=EXP, dx=0.2)
+    grid, theta = config.grid, config.theta
+    start = slab._seed_profile(grid, theta).values
+    u, c, residual, iterations, converged = slab._newton(start, 2.0, grid, theta)
+    assert u is start and c == 2.0 and iterations == 1 and not converged
+    i0 = grid.index_of(0.0)
+    pin = i0 + int(np.argmax(start[i0:]))
+    assert residual == np.max(np.abs(_bvp_residual(start, 2.0, np.zeros(grid.n), grid.dx, pin, theta)))
+
+
 def test_seed_profile_on_a_wide_slab_does_not_overflow():
     # at a = 800, x - shift reaches ~805: 1/(1 + e^t) would overflow there
     # (a RuntimeWarning, an error under this suite's settings)
