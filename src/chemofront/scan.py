@@ -3,10 +3,9 @@
 Each cell runs a slab solve and/or a time-dependent front-speed measurement,
 then is classified:
 
-* slow  — |chi|(1/sigma + sigma^2) <= CERTIFICATE_GATE (0.1), the slow-regime
-  certificate's own gate, and measured c in [1.9, 2.1]
+* slow  — the slow-regime certificate applied (its gate and a >= 60) and passed
 * fast  — chi < 0, min(sigma, sigma/|chi|) >= 10 and c >= 0.75 |chi|/2
-* intermediate — neither hypothesis holds (left open by the theory)
+* intermediate — neither label's evidence holds (left open by the theory)
 * skipped — standing assumption violated or the cell solver failed
 """
 
@@ -23,10 +22,9 @@ from .grids import Grid1D
 from .kernels import ChemoParams, KernelSpec
 from .reports import BoundsReport
 from .slab import SlabConfig, fixed_point, slab_bounds_check, slab_grid
-from .spectral import CERTIFICATE_GATE, slow_predicate, slow_regime_certificate
+from .spectral import slow_predicate, slow_regime_certificate
 
 FAST_PREDICATE_GATE = 10.0
-SLOW_SPEED_WINDOW = (1.9, 2.1)
 FAST_SPEED_FACTOR = 0.75
 SANDWICH_SLACK = 0.05  # allowance of sandwich_table on both speed bounds
 EVOLVE_T_MAX = 150.0  # longest time-dependent run of an evolve cell
@@ -67,12 +65,12 @@ class RegimeRecord:
     kernel: str
     a: float
     dx: float
-    c_slab: float | None
-    c_evolve: float | None
-    lambda_cert: float | None
-    slow_pred: float | None  # None for a cell the standing assumption refuses
-    fast_pred: float | None
-    classification: str
+    c_slab: float | None = None
+    c_evolve: float | None = None
+    lambda_cert: float | None = None  # set only where the certificate applied
+    slow_pred: float | None = None  # None for a cell the standing assumption refuses
+    fast_pred: float | None = None
+    classification: str = "skipped"
     flags: list[str] = field(default_factory=list)
 
     @property
@@ -90,7 +88,7 @@ def _classify(record: RegimeRecord) -> str:
     c = record.c
     if c is None:
         return "skipped"
-    if record.slow_pred <= CERTIFICATE_GATE and SLOW_SPEED_WINDOW[0] <= c <= SLOW_SPEED_WINDOW[1]:
+    if record.lambda_cert is not None and not any(f.startswith("certificate-failed") for f in record.flags):
         return "slow"
     if (
         record.chi < 0
@@ -127,19 +125,7 @@ def _evolve_speed(params: ChemoParams, config: ScanConfig) -> float:
 
 def _run_cell(args: tuple) -> RegimeRecord:
     chi, sigma, config = args
-    record = RegimeRecord(
-        chi=chi,
-        sigma=sigma,
-        kernel=str(config.spec),
-        a=config.slab_a,
-        dx=config.slab_dx,
-        c_slab=None,
-        c_evolve=None,
-        lambda_cert=None,
-        slow_pred=None,
-        fast_pred=None,
-        classification="skipped",
-    )
+    record = RegimeRecord(chi, sigma, str(config.spec), config.slab_a, config.slab_dx)
     try:
         params = ChemoParams(chi, sigma)
     except ValueError as exc:

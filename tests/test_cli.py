@@ -260,9 +260,11 @@ def test_scan_command_end_to_end(out_dir):
         ]
     )
     assert code == EXIT_OK
-    lines = (out_dir / "scan.csv").read_text().splitlines()
-    assert len(lines) == 3
-    assert lines[1].split(",")[10] == "slow"
+    with open(out_dir / "scan.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    # a = 40 is below the certificate's a >= 60, so no cell is certified slow
+    assert [(row["classification"], row["lambda_cert"]) for row in rows] == [("intermediate", "")] * 2
 
 
 def test_chi_zero_needs_no_kernel_resolution(out_dir):
@@ -493,11 +495,11 @@ def test_scan_with_skipped_cell_exits_one(out_dir):
 
 def test_scan_with_failed_slab_solve_exits_one(out_dir, capsys, capped_slab_newton):
     # the slab solve is flagged as not converged; the evolve speed still
-    # classifies the cell, but the scan must not pass
+    # classifies the cell, uncertified, but the scan must not pass
     code = run(["scan", "--chis=0", "--sigmas", "1", "--mode", "both", "--out", "scan.csv"])
     assert code == EXIT_CHECK_FAILED
     row = (out_dir / "scan.csv").read_text().splitlines()[1].split(",")
-    assert row[10] == "slow" and row[11] == "slab-not-converged"
+    assert row[10] == "intermediate" and row[11] == "slab-not-converged"
     assert "1 with a failed solve or certificate" in capsys.readouterr().err
 
 
@@ -516,9 +518,9 @@ def _raising_certificate(sol):
         (["--chis=-0.01", "--sigmas", "0.2", "--mode", "evolve"], None, "skipped",
          "evolve-error: dx=0.1 too coarse for sigma=0.2 (need dx <= sigma/4)"),
         # a converged slow wave whose certificate reports a negative principal eigenvalue
-        (["--chis=0", "--sigmas", "1"], _negative_certificate, "slow", "certificate-failed"),
+        (["--chis=0", "--sigmas", "1"], _negative_certificate, "intermediate", "certificate-failed"),
         # a certificate whose eigensolve raises fails the scan; the cell keeps its slab speed
-        (["--chis=0", "--sigmas", "1"], _raising_certificate, "slow",
+        (["--chis=0", "--sigmas", "1"], _raising_certificate, "intermediate",
          "certificate-failed: inverse iteration stagnated (residual 1e-3)"),
     ],
 )

@@ -152,6 +152,10 @@ def test_fast_constants_validation():
         fast_constants(0.4, -10.0, EXP)
     with pytest.raises(ValueError):
         fast_constants(0.0, -10.0, EXP)
+    # a kernel this heavy-tailed holds more than 97.5 % of its tail mass beyond
+    # x = 2, so its R = kbar_inverse((1 - eps/4)/2)/2 exceeds 1
+    with pytest.raises(ValueError, match=r"derived R = 1126\.67 exceeds 1"):
+        fast_constants(0.1, -1.0, KernelSpec("stretched", 0.05))
     got = fast_constants(0.1, -10.0, EXP, sigma=1e6)
     assert got["constraints_ok"]
     got = fast_constants(0.1, -10.0, EXP, sigma=10.0)

@@ -28,11 +28,8 @@ def make_record(**kwargs):
         a=60.0,
         dx=0.05,
         c_slab=2.0,
-        c_evolve=None,
-        lambda_cert=None,
         slow_pred=slow_predicate(-0.05, 1.0),
         fast_pred=fast_predicate(-0.05, 1.0),
-        classification="",
     )
     defaults.update(kwargs)
     rec = RegimeRecord(**defaults)
@@ -50,12 +47,12 @@ def test_predicates():
 
 
 def test_classification_rules():
-    # the slow label's gate is the certificate's: |chi|(1/sigma + sigma^2) <= 0.1
-    assert make_record().classification == "slow"
-    # predicates above that gate give no label from the slow hypothesis: 0.1125 here
-    assert make_record(chi=-0.05, sigma=0.5, slow_pred=slow_predicate(-0.05, 0.5)).classification == "intermediate"
-    for chi in (-0.07, -0.06, 0.06, 0.07):  # predicates 0.14 and 0.12 at sigma = 1
-        assert make_record(chi=chi, slow_pred=slow_predicate(chi, 1.0)).classification == "intermediate"
+    # slow is the certificate's verdict: it applied (a lambda_cert) and passed
+    assert make_record(lambda_cert=0.05).classification == "slow"
+    # a failed certificate, or none at all, gives no label from the slow hypothesis
+    assert make_record(lambda_cert=-1.0, flags=["certificate-failed"]).classification == "intermediate"
+    assert make_record().classification == "intermediate"
+    assert make_record(c_slab=None, c_evolve=2.0).classification == "intermediate"
     # example cell from the fast hypothesis
     fast = make_record(
         chi=-10.0,
@@ -115,7 +112,9 @@ def test_scan_matches_single_slab(small_scan):
     rec = records[0]
     assert rec.chi == -0.05
     assert rec.c_slab == pytest.approx(direct.c, abs=1e-9)
-    assert rec.classification == "slow"
+    # the certificate does not apply at a = 40 < 60, so the cell is not labelled slow
+    assert rec.lambda_cert is None
+    assert rec.classification == "intermediate"
 
 
 def test_scan_is_deterministic(small_scan):
@@ -152,6 +151,15 @@ def test_scan_flags_unconverged_slab_solve(capped_slab_newton):
     config = ScanConfig(chi_values=(0.0,), sigma_values=(1.0,), spec=EXP)
     (record,) = run_scan(config)
     assert record.flags == ["slab-not-converged"]
+    assert record.classification == "skipped"
+
+
+def test_scan_skips_a_cell_whose_slab_refuses_theta():
+    # no theta is admissible once |chi|/sigma >= 1/2: SlabConfig refuses the
+    # cell before any solve, and with no evolve speed it has no label
+    (record,) = run_scan(ScanConfig((-20.0,), (1.0,), EXP))
+    [flag] = record.flags
+    assert flag.startswith("slab-error: theta must lie")
     assert record.classification == "skipped"
 
 

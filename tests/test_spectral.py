@@ -502,23 +502,25 @@ def test_certificate_passes_in_slow_regime(slab_repulsive):
 
 
 def test_certificate_refuses_out_of_hypothesis():
-    # strong coupling: |chi|(1/sigma + sigma^2) = 0.8 exceeds the gate
-    config = SlabConfig(a=60.0, params=ChemoParams(-0.4, 1.0), spec=EXP)
-    from chemofront.slab import SlabSolution, _seed_profile
+    # |chi|(1/sigma + sigma^2) above the gate 0.1: 0.8 (strong coupling), then
+    # 0.1125, 0.12 and 0.14, just past it, where no scan cell may be labelled slow
+    from chemofront.slab import _seed_profile
 
-    sol = SlabSolution(
-        c=2.0,
-        u=_seed_profile(config.grid, config.theta),
-        residual=0.0,
-        iterations=0,
-        converged=True,
-        config=config,
-        tau_path=[],
-    )
-    report = slow_regime_certificate(sol)
-    assert not report.applicable
-    assert not report.passed
-    assert "out of hypothesis" in report.reason
+    for chi, sigma in [(-0.4, 1.0), (-0.05, 0.5), (-0.06, 1.0), (0.06, 1.0), (-0.07, 1.0), (0.07, 1.0)]:
+        config = SlabConfig(a=60.0, params=ChemoParams(chi, sigma), spec=EXP)
+        sol = SlabSolution(
+            c=2.0,
+            u=_seed_profile(config.grid, config.theta),
+            residual=0.0,
+            iterations=0,
+            converged=True,
+            config=config,
+            tau_path=[],
+        )
+        report = slow_regime_certificate(sol)
+        assert not report.applicable, (chi, sigma)
+        assert not report.passed
+        assert "out of hypothesis" in report.reason
 
 
 def test_eigenvalue_grid_convergence_is_second_order():
